@@ -1,4 +1,4 @@
-"""Observability overhead guards: disabled-mode and cross-process.
+"""Observability overhead guards for disabled mode, plus a CI capture.
 
 The obs layer's contract is that a disabled run pays one attribute load
 plus one branch per instrumented site — no calls, no allocation.  This
@@ -14,24 +14,14 @@ benchmark pins that contract two ways and writes ``BENCH_OBS.json``:
    across the guarded no-op sequence, and ``obs.span()`` in disabled
    mode returns the shared singleton (no fresh object per call).
 
-The cross-process telemetry plane adds a third guard, written to
-``BENCH_PR9.json``: the plane's per-record cost must stay under 3% of
-the multi-process engine's per-record persist time (codec on, ~1 MiB
-payloads, end-to-end submit+drain with the channel active, min of
-repeats).  As with guard 1, the numerator is measured **directly** —
-one task's worth of worker-side instrumentation plus ``flush()``
-through a real channel queue, and the parent-side ``drain()`` merge of
-those messages — rather than by differencing two end-to-end runs:
-per-pair A/B ratios of ~0.4 s runs on a shared host swing ±10%, an
-order of magnitude above the plane's true cost, so a differenced guard
-measures the scheduler, not the plane.  The A/B runs (obs off /
-capture open with ``telemetry=False`` / channel active) are still
-taken and reported as context fields.  ``--capture DIR`` additionally
-saves the merged Chrome trace, the metrics snapshot, and a
-flight-recorder dump from the telemetry-on run — the CI artifacts.
+``--capture DIR`` additionally runs one async-engine persist workload
+(codec on, ~2 MiB full records over local disk) under an open capture
+and saves its Chrome trace, metrics snapshot and a flight-recorder dump
+to ``DIR`` — the CI artifacts the SLO gate
+(``python -m repro.obs.report --slo benchmarks/slo_ci.json``) reads.
 
 Run directly (``python benchmarks/bench_obs_overhead.py [--capture DIR]``)
-or via pytest; both regenerate the JSON.
+or via pytest; both regenerate ``BENCH_OBS.json``.
 """
 
 from __future__ import annotations
@@ -48,12 +38,12 @@ import pytest
 from repro import obs
 from repro.compression import TopKCompressor
 from repro.distributed import DataParallelTrainer, SyntheticClassification
-from repro.obs import NOOP_SPAN, OBS, quantile_from_snapshot
+from repro.obs import NOOP_SPAN, OBS
 from repro.obs.flight import FLIGHT
 from repro.optim import Adam
+from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.backends import LocalDiskBackend
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.storage.mp_engine import MultiprocessCheckpointEngine
 from repro.storage.payload_codec import make_codec
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
@@ -62,8 +52,6 @@ from repro.utils.rng import Rng
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_OBS.json")
-MP_RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                              "BENCH_PR9.json")
 
 STEPS = 6 if QUICK else 20
 #: Guarded sites one training iteration executes (trainer.step has ~18
@@ -136,212 +124,50 @@ def run_all() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Cross-process telemetry-on guard (PR 9 artifact)
+# CI artifact capture: one instrumented async-engine persist run
 # ---------------------------------------------------------------------------
 
-MP_RECORDS = 8 if QUICK else 16
-MP_REPEATS = 2 if QUICK else 3
-#: Iterations for the direct per-task plane-cost measurement.
-PLANE_TASKS = 128 if QUICK else 256
-#: ~1 MiB of float32 per record: telemetry cost amortizes against real
-#: codec + write work, as in production use.
-MP_PAYLOAD_ELEMS = 256 * 1024
+CAPTURE_RECORDS = 8 if QUICK else 16
+#: ~1 MiB of float32 per state half (~2 MiB per full record): the record
+#: size the SLO targets in ``benchmarks/slo_ci.json`` were pinned at.
+CAPTURE_PAYLOAD_ELEMS = 256 * 1024
 
 
-def _mp_persist_once(mode: str, capture_dir: str | None = None
-                     ) -> tuple[float, dict]:
-    """One submit+drain run; returns ``(elapsed_s, metrics_snapshot)``.
-
-    ``mode`` selects what is measured:
-
-    * ``"off"`` — observability fully disabled (context number).
-    * ``"instrumented"`` — capture open, telemetry channel forced off:
-      parent-side spans/counters only.  The guard denominator.
-    * ``"telemetry"`` — capture open, channel active: workers activate
-      ``OBS``, ship deltas, parent drains and merges.  The numerator.
-    """
+def capture_persist_run(capture_dir: str) -> dict:
+    """Persist ``CAPTURE_RECORDS`` fulls through the async engine under an
+    open capture; save trace, metrics snapshot and flight dump to
+    ``capture_dir`` and return the snapshot."""
     rng = np.random.default_rng(9)
-    model = {"w": rng.standard_normal(MP_PAYLOAD_ELEMS, dtype=np.float32)}
-    optim = {"m": rng.standard_normal(MP_PAYLOAD_ELEMS, dtype=np.float32)}
-    tmp = tempfile.mkdtemp(prefix="bench-mp-obs-")
-    store = CheckpointStore(LocalDiskBackend(tmp),
-                            codec=make_codec("lossless"))
-
-    def run(telemetry: bool | None) -> tuple[float, dict]:
-        engine = MultiprocessCheckpointEngine(
-            store, num_workers=2, queue_depth=8,
-            ring_bytes=max(32, MP_RECORDS * 3) << 20,
-            telemetry=telemetry)
-        try:
-            started = time.perf_counter()
-            for step in range(MP_RECORDS):
-                engine.save_full(step, model, optim)
-            engine.drain()
-            elapsed = time.perf_counter() - started
-        finally:
-            engine.finalize()
-        snapshot = OBS.registry.snapshot() if OBS.enabled else {}
-        return elapsed, snapshot
-
-    if mode == "off":
-        assert not OBS.enabled
-        return run(telemetry=None)
-    with obs.capture() as active:
-        elapsed, snapshot = run(telemetry=None if mode == "telemetry"
-                                else False)
-        if capture_dir is not None:
+    model = {"w": rng.standard_normal(CAPTURE_PAYLOAD_ELEMS,
+                                      dtype=np.float32)}
+    optim = {"m": rng.standard_normal(CAPTURE_PAYLOAD_ELEMS,
+                                      dtype=np.float32)}
+    with tempfile.TemporaryDirectory(prefix="bench-obs-capture-") as tmp:
+        store = CheckpointStore(LocalDiskBackend(tmp),
+                                codec=make_codec("lossless"))
+        with obs.capture() as active:
+            engine = AsyncCheckpointEngine(store, num_writers=2,
+                                           queue_depth=8)
+            try:
+                for step in range(CAPTURE_RECORDS):
+                    engine.save_full(step, model, optim)
+                engine.drain()
+            finally:
+                engine.finalize()
+            snapshot = active.registry.snapshot()
             os.makedirs(capture_dir, exist_ok=True)
-            active.tracer.save(os.path.join(capture_dir, "merged_trace.json"))
-            with open(os.path.join(capture_dir, "metrics.json"), "w") as fh:
-                json.dump(snapshot, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            FLIGHT.dump(path=os.path.join(capture_dir, "flight.json"),
-                        reason="bench artifact capture")
-    return elapsed, snapshot
-
-
-def measure_plane_cost() -> dict:
-    """Direct per-record cost of the telemetry plane (the numerator).
-
-    Replays one persist task's worth of worker-side instrumentation —
-    the spans, observes, counters and flight entries ``_persist_worker``
-    emits, plus the per-task :meth:`WorkerTelemetry.flush` through a
-    real channel queue — then drains and merges the shipped messages on
-    the parent side.  Everything runs in one process, so the numbers
-    are clean per-operation costs; in the real engine the worker half
-    runs inside the persist processes and the parent half on the
-    collector thread, so the end-to-end impact can only be smaller.
-    """
-    from repro.obs.telemetry import TelemetryChannel, WorkerTelemetry
-
-    channel = TelemetryChannel()
-    spec = channel.worker_spec("bench-worker-0", 1)
-    with obs.capture():
-        telemetry = WorkerTelemetry.activate(spec)
-
-        def one_task(seq: int) -> None:
-            FLIGHT.record("task", "start", seq=seq, record_kind="full",
-                          nbytes=1 << 20)
-            for stage in ("worker_encode", "worker_pack", "worker_write"):
-                with obs.span(stage, "ckpt", {"seq": seq}):
-                    pass
-            registry = OBS.registry
-            registry.observe("ckpt.mp.worker.encode.s", 0.01)
-            registry.observe("ckpt.mp.worker.pack.s", 0.001)
-            registry.observe("ckpt.mp.worker.write.s", 0.005)
-            registry.observe("ckpt.mp.worker.busy.s", 0.016)
-            registry.inc("ckpt.mp.worker.tasks")
-            registry.inc("ckpt.mp.worker.bytes", 1 << 20)
-            FLIGHT.record("task", "done", seq=seq, key="ckpt/full.bin",
-                          nbytes=1 << 20)
-            telemetry.flush()
-
-        one_task(-1)  # warm: lazily-built registry entries, queue feeder
-        started = time.perf_counter()
-        for seq in range(PLANE_TASKS):
-            one_task(seq)
-        worker_flush_s = (time.perf_counter() - started) / PLANE_TASKS
-
-    # Parent side: drain-and-merge the shipped messages into fresh sinks.
-    with obs.capture():
-        drained = 0
-        merge_busy_s = 0.0
-        deadline = time.monotonic() + 30.0
-        while drained < PLANE_TASKS + 1 and time.monotonic() < deadline:
-            t0 = time.perf_counter()
-            got = channel.drain()
-            merge_busy_s += time.perf_counter() - t0
-            if got == 0:
-                time.sleep(0.002)  # queue feeder still pickling
-            drained += got
-    channel.close()
-    parent_drain_s = merge_busy_s / max(1, drained)
-    return {
-        "tasks": PLANE_TASKS,
-        "worker_flush_s": worker_flush_s,
-        "parent_drain_s": parent_drain_s,
-        "plane_cost_per_record_s": worker_flush_s + parent_drain_s,
-    }
-
-
-def run_mp_guard(capture_dir: str | None = None) -> dict:
-    obs_off_s = float("inf")
-    baseline_s = float("inf")
-    telemetry_s = float("inf")
-    snapshot: dict = {}
-    for repeat in range(MP_REPEATS):
-        off, _ = _mp_persist_once("off")
-        base, _ = _mp_persist_once("instrumented")
-        tele, snap = _mp_persist_once(
-            "telemetry",
-            capture_dir=capture_dir if repeat == 0 else None)
-        obs_off_s = min(obs_off_s, off)
-        baseline_s = min(baseline_s, base)
-        telemetry_s = min(telemetry_s, tele)
-        snapshot = snap or snapshot
-    plane = measure_plane_cost()
-    per_record_s = telemetry_s / MP_RECORDS
-
-    def tail(name: str) -> dict | None:
-        value = snapshot.get(name)
-        if not isinstance(value, dict) or not value.get("count"):
-            return None
-        return {f"p{int(q * 100)}": quantile_from_snapshot(value, q)
-                for q in (0.5, 0.95, 0.99)}
-
-    results = {
-        "benchmark": "obs-mp-telemetry-overhead",
-        "quick_mode": QUICK,
-        "records": MP_RECORDS,
-        "payload_mb": MP_PAYLOAD_ELEMS * 4 * 2 / (1 << 20),
-        "repeats": MP_REPEATS,
-        "obs_off_s": obs_off_s,
-        "channel_off_s": baseline_s,
-        "telemetry_s": telemetry_s,
-        "persist_per_record_s": per_record_s,
-        "plane": plane,
-        # The guarded number: directly-measured per-record plane cost
-        # over per-record persist time.  The end-to-end A/B delta is
-        # reported below for context but swings with scheduler noise.
-        "overhead_fraction": plane["plane_cost_per_record_s"] / per_record_s,
-        "end_to_end_fraction": (telemetry_s - baseline_s) / baseline_s,
-        "tail": {
-            name: tail(name)
-            for name in ("ckpt.mp.worker.busy.s", "ckpt.mp.worker.encode.s",
-                         "ckpt.mp.worker.write.s", "ckpt.mp.commit.s",
-                         "ckpt.mp.turnaround.s")
-        },
-        "worker_drops": (snapshot.get("obs.telemetry.dropped") or 0),
-    }
-    with open(MP_RESULT_PATH, "w") as handle:
-        json.dump(results, handle, indent=2)
+            active.tracer.save(os.path.join(capture_dir, "trace.json"))
+    with open(os.path.join(capture_dir, "metrics.json"), "w") as handle:
+        json.dump(snapshot, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return results
+    FLIGHT.dump(path=os.path.join(capture_dir, "flight.json"),
+                reason="bench artifact capture")
+    return snapshot
 
 
 @pytest.fixture(scope="module")
 def results():
     return run_all()
-
-
-@pytest.fixture(scope="module")
-def mp_results():
-    return run_mp_guard()
-
-
-def test_mp_telemetry_overhead_under_3_percent(mp_results):
-    # Acceptance criterion: the telemetry plane (worker OBS activation,
-    # metric/trace/flight shipping, parent drain-and-merge) costs < 3%
-    # of mp-engine persist throughput.  Both sides of the ratio run
-    # under an open capture so parent instrumentation cancels out, and
-    # min-of-repeats keeps it stable on loaded hosts.
-    assert mp_results["overhead_fraction"] < 0.03
-
-
-def test_mp_guard_captured_worker_tails(mp_results):
-    tails = mp_results["tail"]
-    assert tails["ckpt.mp.worker.busy.s"] is not None
-    assert tails["ckpt.mp.worker.busy.s"]["p99"] > 0
 
 
 def test_disabled_overhead_under_3_percent(results):
@@ -374,11 +200,13 @@ if __name__ == "__main__":
     import argparse
     parser = argparse.ArgumentParser()
     parser.add_argument("--capture", default=None, metavar="DIR",
-                        help="save merged trace / metrics snapshot / "
-                             "flight dump from the telemetry-on run")
+                        help="save trace / metrics snapshot / flight dump "
+                             "from an instrumented async-engine persist run")
     parser.add_argument("--skip-disabled", action="store_true",
-                        help="only run the cross-process guard")
+                        help="skip the disabled-mode guards")
     cli = parser.parse_args()
     out = {} if cli.skip_disabled else run_all()
-    out_mp = run_mp_guard(capture_dir=cli.capture)
-    print(json.dumps({"disabled": out, "mp_telemetry": out_mp}, indent=2))
+    if cli.capture is not None:
+        snapshot = capture_persist_run(cli.capture)
+        out["captured_metrics"] = len(snapshot)
+    print(json.dumps(out, indent=2))

@@ -31,7 +31,6 @@ from repro.core.recovery import (
 from repro.core.lowdiff import LowDiffCheckpointer
 from repro.core.lowdiff_plus import LowDiffPlusCheckpointer, CpuReplica
 from repro.core.failure_harness import FailureDrill, FailureDrillReport, default_lowdiff_factory
-from repro.core.mp_transport import MultiprocessCheckpointSink
 
 __all__ = [
     "ReusingQueue",
@@ -54,5 +53,4 @@ __all__ = [
     "FailureDrill",
     "FailureDrillReport",
     "default_lowdiff_factory",
-    "MultiprocessCheckpointSink",
 ]

@@ -38,14 +38,6 @@ class CheckpointConfig:
     record bound; both are ignored in the default synchronous mode, which
     stays bit-exact-deterministic for tests.
 
-    ``persist_mode`` picks the engine flavor when ``async_persist`` is on:
-    ``"thread"`` (default) uses the in-process writer pool; ``"process"``
-    uses :class:`repro.storage.mp_engine.MultiprocessCheckpointEngine` —
-    spawned persist-worker processes fed through a shared-memory ring of
-    ``ring_mb`` MiB, so codec/serializer CPU leaves the training
-    interpreter entirely (requires a process-safe backend, e.g. local
-    disk).  ``writer_threads`` doubles as the worker-process count.
-
     ``codec`` selects the payload codec applied to every persisted record
     (``repro.storage.payload_codec`` registry): ``None`` (default) writes
     uncoded bytes identical to earlier revisions, ``"lossless"`` enables
@@ -71,8 +63,6 @@ class CheckpointConfig:
     queue_depth: int = 8         # engine backpressure bound
     codec: str | None = None     # payload codec id; None = uncoded
     lossy_error_bound: float = 1e-3  # max |decoded - true| per value ("lossy")
-    persist_mode: str = "thread"  # async engine flavor: "thread" | "process"
-    ring_mb: float = 64.0        # shared-memory ring size (process mode)
     shards: int = 1              # per-shard diff chains; 1 = unsharded store
     shard_concurrency: int = 4   # per-checkpoint shard IO fan-out bound
 
@@ -88,12 +78,6 @@ class CheckpointConfig:
         if self.lossy_error_bound <= 0:
             raise ValueError(
                 f"lossy_error_bound must be > 0, got {self.lossy_error_bound}")
-        if self.persist_mode not in ("thread", "process"):
-            raise ValueError(
-                f"persist_mode must be 'thread' or 'process', "
-                f"got {self.persist_mode!r}")
-        if self.ring_mb <= 0:
-            raise ValueError(f"ring_mb must be > 0, got {self.ring_mb}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.shard_concurrency < 1:

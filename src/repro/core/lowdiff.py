@@ -105,30 +105,25 @@ class LowDiffCheckpointer:
         # backend: per-shard diff chains under one intersection-committed
         # manifest set, elastic restore across world sizes.  An
         # already-sharded store passes through (its shard count wins).
-        shards = int(getattr(config, "shards", 1))
-        if shards > 1 and isinstance(store, CheckpointStore):
+        if config.shards > 1 and isinstance(store, CheckpointStore):
             from repro.storage.sharded import ShardedCheckpointStore
             store = ShardedCheckpointStore(
-                store.backend, shards=shards,
+                store.backend, shards=config.shards,
                 codec=store.codec,
-                shard_concurrency=getattr(config, "shard_concurrency", 4),
+                shard_concurrency=config.shard_concurrency,
             )
         self.store = store
         self.config = config
         # Config-selected payload codec: applied store-wide before the
         # engine is built, so sync and async persist paths both encode.
-        if getattr(config, "codec", None):
+        if config.codec:
             store.set_codec(config.codec,
-                            error_bound=getattr(config, "lossy_error_bound",
-                                                None))
+                            error_bound=config.lossy_error_bound)
         self.queue = ReusingQueue(maxsize=queue_maxsize, copy_mode=not zero_copy)
         # With async_persist the engine becomes the persistence target for
         # both full snapshots and the batched writer's diff records; every
         # record still flows through one FIFO commit order, so the
         # diff-never-before-its-full invariant holds unchanged.
-        # persist_mode="process" swaps in the shared-memory multi-process
-        # engine — same submit/drain/finalize contract, but codec and
-        # serializer CPU run in spawned workers outside the training GIL.
         self.engine = None
         persist_target = store
         from repro.storage.sharded import (
@@ -137,23 +132,12 @@ class LowDiffCheckpointer:
             ShardedPersistGroup,
         )
         sharded = isinstance(store, ShardedCheckpointStore)
-        if getattr(config, "async_persist", False):
+        if config.async_persist:
             if sharded:
                 self.engine = ShardedPersistGroup(
                     store,
-                    persist_mode=getattr(config, "persist_mode", "thread"),
                     writer_threads=config.writer_threads,
                     queue_depth=config.queue_depth,
-                    ring_mb=getattr(config, "ring_mb", 64.0),
-                )
-            elif getattr(config, "persist_mode", "thread") == "process":
-                from repro.storage.mp_engine import MultiprocessCheckpointEngine
-                self.engine = MultiprocessCheckpointEngine(
-                    store,
-                    num_workers=config.writer_threads,
-                    queue_depth=config.queue_depth,
-                    ring_bytes=int(getattr(config, "ring_mb", 64.0)
-                                   * (1 << 20)),
                 )
             else:
                 self.engine = AsyncCheckpointEngine(

@@ -103,11 +103,6 @@ class LowDiffPlusCheckpointer:
         an ad-hoc thread per persist.  The skip-when-in-flight semantics
         are preserved: a cadence tick that would hit engine backpressure
         is skipped and counted in ``persist_skips``.
-    persist_mode:
-        With ``use_engine=True``, ``"thread"`` (default) uses the
-        in-process writer pool and ``"process"`` the shared-memory
-        multi-process engine (persist CPU leaves the training
-        interpreter; requires a process-safe backend such as local disk).
     retention:
         Optional :class:`~repro.storage.compaction.RetentionPolicy`
         applied to the durable store after each persisted full (and at
@@ -119,29 +114,19 @@ class LowDiffPlusCheckpointer:
     def __init__(self, store: CheckpointStore, persist_every: int = 10,
                  async_persist: bool = False, use_engine: bool = False,
                  writer_threads: int = 2, queue_depth: int = 2,
-                 persist_mode: str = "thread", retention=None):
+                 retention=None):
         if persist_every < 1:
             raise ValueError(f"persist_every must be >= 1, got {persist_every}")
         if use_engine and not async_persist:
             raise ValueError("use_engine requires async_persist=True")
-        if persist_mode not in ("thread", "process"):
-            raise ValueError(
-                f"persist_mode must be 'thread' or 'process', "
-                f"got {persist_mode!r}")
         self.store = store
         self.persist_every = int(persist_every)
         self.async_persist = bool(async_persist)
         self.engine = None
         if use_engine:
-            if persist_mode == "process":
-                from repro.storage.mp_engine import MultiprocessCheckpointEngine
-                self.engine = MultiprocessCheckpointEngine(
-                    store, num_workers=writer_threads,
-                    queue_depth=queue_depth)
-            else:
-                self.engine = AsyncCheckpointEngine(
-                    store, num_writers=writer_threads,
-                    queue_depth=queue_depth)
+            self.engine = AsyncCheckpointEngine(
+                store, num_writers=writer_threads,
+                queue_depth=queue_depth)
         self.retention = retention
         self.replica: CpuReplica | None = None
         self._trainer = None

@@ -241,66 +241,8 @@ def serial_recover(store: CheckpointStore, model: Module, optimizer: Optimizer,
     )
 
 
-def _recover_with_processes(store: CheckpointStore, model: Module,
-                            optimizer: Optimizer, processes: int
-                            ) -> RecoveryResult | None:
-    """Cross-process chain recovery; ``None`` means fall back to threads.
-
-    Worker processes decode and pairwise-merge power-of-two chain
-    segments (:func:`~repro.storage.mp_engine.recover_chain_segments`);
-    the parent finishes the merge, so the restored state is bit-identical
-    to the threaded path.  Any ineligibility (backend not process-safe,
-    short chain) or worker failure returns ``None`` — the threaded path
-    also owns quarantine/truncation for corrupt records, so degraded
-    recovery always goes through it.
-    """
-    from repro.storage.mp_engine import recover_chain_segments
-    if store.backend.process_safe_spec() is None:
-        return None
-    recover_t0 = time.perf_counter()
-    with obs_span("recover.load_full", "recovery"):
-        full_step, fulls_skipped = _load_base(store, model, optimizer)
-    chain = store.diffs_after(full_step)
-    with obs_span("recover.mp_segments", "recovery",
-                  {"chain": len(chain), "processes": processes}):
-        merged_out = recover_chain_segments(store, chain, processes)
-    if merged_out is None:
-        return None
-    merged, merge_ops, depth = merged_out
-    gradients = sum(record.count for record in chain)
-    with obs_span("recover.apply_merged", "recovery",
-                  {"gradients": gradients}):
-        if isinstance(merged, StateDelta):
-            _apply_payload(model, optimizer, merged)
-        else:
-            if hasattr(merged, "decompress_into"):
-                optimizer.step_with(
-                    merged.decompress_into(
-                        _ReplayScratch().buffers_for(merged)))
-            else:
-                optimizer.step_with(merged.decompress())
-            optimizer.step_count += gradients - 1
-    if OBS.enabled:
-        OBS.registry.counter("recover.parallel_mp.runs").inc()
-        OBS.registry.counter("recover.diffs_replayed").inc(len(chain))
-        OBS.registry.observe("recover.parallel_mp.s",
-                             time.perf_counter() - recover_t0)
-    return RecoveryResult(
-        step=optimizer.step_count,
-        full_step=full_step,
-        diffs_loaded=len(chain),
-        gradients_replayed=gradients,
-        merge_ops=merge_ops,
-        merge_depth=depth,
-        apply_ops=1,
-        corrupt_fulls_skipped=fulls_skipped,
-        corrupt_diffs_skipped=0,
-    )
-
-
 def parallel_recover(store: CheckpointStore, model: Module, optimizer: Optimizer,
-                     max_workers: int | None = None,
-                     processes: int = 0) -> RecoveryResult:
+                     max_workers: int | None = None) -> RecoveryResult:
     """Tree-merge all differentials on a thread pool, then apply once.
 
     Decoding (CRC verify + deserialize) and the pairwise merge tree run
@@ -311,17 +253,7 @@ def parallel_recover(store: CheckpointStore, model: Module, optimizer: Optimizer
     ``ceil(log2 n)`` — and each pair merges in a fixed order, so the
     result is independent of thread scheduling.  ``max_workers=1`` (or
     ``0``) forces the single-threaded execution of earlier revisions.
-
-    ``processes >= 2`` fans decode + merge out to spawned worker
-    *processes* instead (GIL-free; §VI's recovery module at process
-    granularity), falling back to the thread path — bit-identically —
-    whenever the backend is not process-safe, the chain is too short to
-    amortize a spawn, or a worker fails.
     """
-    if processes and processes > 1:
-        result = _recover_with_processes(store, model, optimizer, processes)
-        if result is not None:
-            return result
     if max_workers is None:
         max_workers = min(8, os.cpu_count() or 2)
     recover_t0 = time.perf_counter()
@@ -394,13 +326,6 @@ def parallel_recover(store: CheckpointStore, model: Module, optimizer: Optimizer
         corrupt_fulls_skipped=fulls_skipped,
         corrupt_diffs_skipped=truncated,
     )
-
-
-def recover_states(store: CheckpointStore, model: Module, optimizer: Optimizer,
-                   parallel: bool = False) -> RecoveryResult:
-    """Dispatch helper used by the checkpointers."""
-    fn = parallel_recover if parallel else serial_recover
-    return fn(store, model, optimizer)
 
 
 def merge_payloads(payloads: list):

@@ -214,9 +214,6 @@ class ClusterSupervisor:
             # Liveness re-proven before confirmation: back to healthy.
             self._set_status(rank, WorkerStatus.HEALTHY)
 
-    def heartbeat_age(self, rank: int) -> float:
-        return self.clock.now - self.last_beat[rank]
-
     # State machine --------------------------------------------------------
     def _set_status(self, rank: int, status: str) -> None:
         old = self.status[rank]

@@ -64,12 +64,9 @@ __all__ = [
     "span",
     "capture",
     "timed",
-    # Cross-process telemetry plane (re-exported below, after OBS exists).
+    # Flight recorder and SLO targets (re-exported below, after OBS exists).
     "FLIGHT",
     "FlightRecorder",
-    "TelemetryChannel",
-    "WorkerTelemetry",
-    "WorkerTelemetrySpec",
     "SloTarget",
     "SloResult",
     "SloWatchdog",
@@ -200,7 +197,7 @@ class timed:
         target.observe(f"{self.name}.s", self.elapsed)
 
 
-# Cross-process telemetry plane.  Imported last: these modules read
+# Flight recorder and SLO targets.  Imported last: these modules read
 # ``repro.obs.OBS`` lazily inside functions, but keeping the imports
 # below the switchboard definition makes the no-cycle property obvious.
 from repro.obs.flight import FLIGHT, FlightRecorder          # noqa: E402
@@ -211,9 +208,4 @@ from repro.obs.slo import (                                   # noqa: E402
     SloWatchdog,
     evaluate_snapshot,
     load_slo_config,
-)
-from repro.obs.telemetry import (                             # noqa: E402
-    TelemetryChannel,
-    WorkerTelemetry,
-    WorkerTelemetrySpec,
 )

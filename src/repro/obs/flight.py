@@ -9,13 +9,9 @@ that record are per-checkpoint-record and per-state-transition, never
 per-gradient-element, and an append is one ``time.time()`` plus a deque
 push.
 
-On a fail-stop — the multi-process engine latching a failure, the
+On a fail-stop — the persistence engine latching a failure, the
 cluster supervisor declaring a worker lost — the ring is dumped to a
-JSON post-mortem.  Worker processes cannot dump at death (SIGKILL grants
-no handler), so the telemetry channel ships their recent entries to the
-parent as they go; the parent keeps a per-worker *shadow* ring and
-includes it in its own dump.  A killed worker's last recorded actions
-therefore survive in the parent's post-mortem.
+JSON post-mortem whose path the raised error names.
 
 ``python -m repro.obs.report --flight dump.json`` renders a dump.
 """
@@ -50,7 +46,7 @@ def flight_dump_dir() -> str:
 
 
 class FlightRecorder:
-    """Bounded ring of recent events plus per-worker shadow rings.
+    """Bounded ring of recent events.
 
     ``record`` is the hot call: a lock-guarded deque append.  ``dump``
     serializes everything to a JSON post-mortem and returns its path.
@@ -61,13 +57,12 @@ class FlightRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._ring: deque = deque(maxlen=self.capacity)
-        self._shadows: dict[str, deque] = {}
         self._lock = threading.Lock()
         self._dump_count = 0
         self.recorded = 0
 
     def record(self, kind: str, name: str, **data) -> None:
-        """Append one entry: ``kind`` groups (ckpt/supervisor/telemetry),
+        """Append one entry: ``kind`` groups (ckpt/supervisor/slo),
         ``name`` says what happened, ``data`` carries small scalars."""
         entry = {"t": time.time(), "kind": kind, "name": name}
         if data:
@@ -76,32 +71,18 @@ class FlightRecorder:
             self._ring.append(entry)
             self.recorded += 1
 
-    def absorb(self, label: str, entries) -> None:
-        """Fold entries shipped from another process into its shadow ring
-        (same bound as the local ring — a chatty worker cannot grow the
-        parent's memory)."""
-        if not entries:
-            return
-        with self._lock:
-            shadow = self._shadows.get(label)
-            if shadow is None:
-                shadow = self._shadows[label] = deque(maxlen=self.capacity)
-            shadow.extend(entries)
-
     def entries(self) -> list[dict]:
         with self._lock:
             return list(self._ring)
 
     def snapshot(self) -> dict:
-        """JSON-serializable view: local ring + every shadow ring."""
+        """JSON-serializable view of the ring."""
         with self._lock:
             return {
                 "pid": os.getpid(),
                 "capacity": self.capacity,
                 "recorded": self.recorded,
                 "entries": list(self._ring),
-                "workers": {label: list(ring)
-                            for label, ring in self._shadows.items()},
             }
 
     def dump(self, path: str | None = None, reason: str = "",
@@ -130,9 +111,8 @@ class FlightRecorder:
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
-            self._shadows.clear()
 
 
 #: The process-global flight recorder.  Like :data:`repro.obs.OBS` it is
-#: one per process; spawned workers get their own fresh instance.
+#: one per process.
 FLIGHT = FlightRecorder()

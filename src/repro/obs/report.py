@@ -180,16 +180,9 @@ def render_metrics(snapshot: dict) -> str:
     return "\n".join(lines)
 
 
-#: Histograms whose names start with these prefixes (optionally behind a
-#: ``proc.<worker>.`` namespace) are the persist/restore paths the
-#: tail-latency table covers.
+#: Histograms whose names start with these prefixes are the
+#: persist/restore paths the tail-latency table covers.
 TAIL_LATENCY_PREFIXES = ("ckpt.", "recover.", "restore.", "storage.")
-
-
-def _strip_proc_prefix(name: str) -> str:
-    if name.startswith("proc.") and name.count(".") >= 2:
-        return name.split(".", 2)[2]
-    return name
 
 
 def tail_latency_rows(snapshot: dict) -> list[dict]:
@@ -199,7 +192,7 @@ def tail_latency_rows(snapshot: dict) -> list[dict]:
         value = snapshot[name]
         if not isinstance(value, dict) or not value.get("count"):
             continue
-        if not _strip_proc_prefix(name).startswith(TAIL_LATENCY_PREFIXES):
+        if not name.startswith(TAIL_LATENCY_PREFIXES):
             continue
         count = value["count"]
         row = {
@@ -269,19 +262,13 @@ def render_flight(dump: dict) -> str:
     lines.append(f"  recorded {dump.get('recorded', '?')} entries, "
                  f"ring capacity {dump.get('capacity', '?')}")
 
-    def render_entries(entries, indent="  "):
-        for entry in entries:
-            data = entry.get("data", {})
-            detail = " ".join(f"{k}={v}" for k, v in data.items())
-            lines.append(f"{indent}{entry.get('t', 0.0):.6f} "
-                         f"[{entry.get('kind', '?'):<10}] "
-                         f"{entry.get('name', '?')}"
-                         f"{('  ' + detail) if detail else ''}")
-
-    render_entries(dump.get("entries", []))
-    for label in sorted(dump.get("workers", {})):
-        lines.append(f"  shadow ring: {label}")
-        render_entries(dump["workers"][label], indent="    ")
+    for entry in dump.get("entries", []):
+        data = entry.get("data", {})
+        detail = " ".join(f"{k}={v}" for k, v in data.items())
+        lines.append(f"  {entry.get('t', 0.0):.6f} "
+                     f"[{entry.get('kind', '?'):<10}] "
+                     f"{entry.get('name', '?')}"
+                     f"{('  ' + detail) if detail else ''}")
     return "\n".join(lines)
 
 
@@ -369,68 +356,6 @@ def render_bench_history(history: dict, grep: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def render_mp_comparison(history: dict) -> str:
-    """Thread-vs-process persistence comparison from mp-engine artifacts.
-
-    Scans the flattened bench history for artifacts carrying the
-    ``headline.*``/``recovery.*`` keys ``benchmarks/bench_mp_engine.py``
-    emits and renders the thread-engine vs process-engine numbers side by
-    side.  Returns ``""`` when no artifact carries them, so callers can
-    append the section unconditionally.
-    """
-    blocks: list[str] = []
-    for stem, table in history.items():
-        ratio = table.get("headline.stall_ratio_x")
-        process_s = table.get("recovery.process_s")
-        if ratio is None and process_s is None:
-            continue
-        lines = [f"  [{stem}]"]
-        if ratio is not None:
-            workers = table.get("headline.workers", "?")
-            payload = table.get("headline.payload_mb")
-            codec = table.get("headline.codec", "?")
-            detail = f"workers={workers} codec={codec}"
-            if payload is not None:
-                detail += f" payload={_format_cell(payload)}MB"
-            lines.append(f"    persist stall ({detail})")
-            thread_ms = table.get("headline.thread_stall_ms")
-            proc_ms = table.get("headline.process_stall_ms")
-            if thread_ms is not None and proc_ms is not None:
-                lines.append(
-                    f"      thread engine:  {_format_cell(thread_ms)} "
-                    f"ms/iter")
-                lines.append(
-                    f"      process engine: {_format_cell(proc_ms)} "
-                    f"ms/iter")
-            lines.append(
-                f"      speedup:        {_format_cell(ratio)}x")
-        if process_s is not None:
-            threaded_s = table.get("recovery.threaded_s")
-            bit_exact = table.get("recovery.bit_exact")
-            lines.append("    parallel recovery")
-            if threaded_s is not None:
-                lines.append(
-                    f"      threaded:       {_format_cell(threaded_s)} s")
-            lines.append(
-                f"      processes:      {_format_cell(process_s)} s")
-            if bit_exact is not None:
-                lines.append(f"      bit-exact:      {bit_exact}")
-        persist_mb_s = table.get("calibration.persist_mb_s")
-        recover_mb_s = table.get("calibration.recover_mb_s")
-        if persist_mb_s is not None or recover_mb_s is not None:
-            lines.append("    measured calibration")
-            if persist_mb_s is not None:
-                lines.append(f"      persist:        "
-                             f"{_format_cell(persist_mb_s)} MB/s")
-            if recover_mb_s is not None:
-                lines.append(f"      recover:        "
-                             f"{_format_cell(recover_mb_s)} MB/s")
-        blocks.append("\n".join(lines))
-    if not blocks:
-        return ""
-    return "thread-vs-process persistence\n" + "\n".join(blocks)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
@@ -475,9 +400,6 @@ def main(argv=None) -> int:
         history = collect_bench_history(args.bench_dir)
         out["bench_history"] = history
         sections.append(render_bench_history(history, grep=args.grep))
-        comparison = render_mp_comparison(history)
-        if comparison:
-            sections.append(comparison)
     if args.trace is not None:
         summary = summarize_trace(load_json(args.trace))
         out["trace"] = {

@@ -141,15 +141,11 @@ DEFAULT_TARGETS = (
               aggregate="sum",
               description="total training-thread seconds lost to persist "
                           "backpressure"),
-    SloTarget("p99-commit-latency", "ckpt.mp.commit.s", 0.5,
+    SloTarget("p99-commit-latency", "ckpt.async.commit.s", 0.5,
               aggregate="p99",
               description="tail latency of manifest commits"),
-    SloTarget("queue-depth-hwm", "ckpt.mp.queue_high_watermark", 64,
-              description="peak outstanding persist records"),
     SloTarget("breaker-open", "storage.breaker.transitions.*_to_open", 0,
               description="circuit breaker never opens in a healthy run"),
-    SloTarget("ring-stalls", "ckpt.mp.ring_stalls", 0,
-              description="shared-memory ring never blocks a submission"),
 )
 
 

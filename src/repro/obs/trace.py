@@ -67,15 +67,10 @@ class Tracer:
     def __init__(self, clock=None, limit: int | None = None):
         self._clock = clock if clock is not None else time.perf_counter
         self._t0 = float(self._clock())
-        #: Wall-clock epoch of the trace origin — how a merged trace
-        #: rebases events shipped from another process onto this
-        #: tracer's timeline (both sides stamp ``time.time()`` at t0).
-        self.origin_epoch = time.time()
         self._limit = limit
         self._events: list[dict] = []
         self._lock = threading.Lock()
         self._tracks: dict[object, int] = {}   # thread ident or track name -> tid
-        self._merged_pids: dict[int, str] = {}
         self._local = threading.local()
         self.dropped = 0
 
@@ -200,62 +195,6 @@ class Tracer:
             "name": name, "ph": "C", "ts": float(ts_s) * 1e6, "pid": 0,
             "tid": self._track_tid(track), "args": dict(values),
         })
-
-    # Cross-process merge ---------------------------------------------------
-    def events_since(self, index: int) -> tuple[list[dict], int]:
-        """Events appended at or after ``index`` plus the new cursor.
-
-        The worker-side telemetry shim ships incrementally: each flush
-        sends only the events recorded since the previous successful
-        flush, so one slow drain never re-ships the whole trace.
-        """
-        with self._lock:
-            return list(self._events[index:]), len(self._events)
-
-    def merge_events(self, events, pid: int, process_name: str | None = None,
-                     offset_us: float = 0.0) -> int:
-        """Append events recorded by another process under its own track.
-
-        Every event is re-tagged with ``pid`` (Chrome-trace renders one
-        process group per pid, so each worker process gets its own set of
-        lanes) and shifted by ``offset_us`` onto this tracer's timeline.
-        Thread-name metadata is prefixed with ``process_name`` so
-        ``MainThread`` lanes from different workers stay tellable apart.
-        The merge is deterministic: identical event batches with identical
-        offsets produce identical output (the virtual-clock path passes
-        ``offset_us=0``).  Returns the number of events appended.
-        """
-        pid = int(pid)
-        appended = 0
-        with self._lock:
-            if process_name is not None and pid not in self._merged_pids:
-                self._merged_pids[pid] = process_name
-                self._events.append({
-                    "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                    "args": {"name": process_name},
-                })
-            label = self._merged_pids.get(pid)
-            for event in events:
-                if self._limit is not None and \
-                        len(self._events) >= self._limit:
-                    self.dropped += 1
-                    continue
-                event = dict(event)
-                event["pid"] = pid
-                if event.get("ph") == "M":
-                    if event.get("name") == "process_name":
-                        # The parent owns track naming — a worker's own
-                        # process metadata would shadow the label.
-                        continue
-                    if event.get("name") == "thread_name" and label:
-                        args = dict(event.get("args", {}))
-                        args["name"] = f"{label}/{args.get('name', '?')}"
-                        event["args"] = args
-                elif "ts" in event:
-                    event["ts"] = float(event["ts"]) + offset_us
-                self._events.append(event)
-                appended += 1
-        return appended
 
     # Export ----------------------------------------------------------------
     def events(self) -> list[dict]:

@@ -11,7 +11,6 @@ full snapshot's non-overlapped part blocks.
 
 from __future__ import annotations
 
-from repro.core.config import CheckpointConfig
 from repro.sim.strategies.base import CheckpointStrategy, FailureProfile
 
 
@@ -49,8 +48,8 @@ class LowDiffStrategy(CheckpointStrategy):
         #: backlog-budget heuristic.  Off by default so the historical
         #: pricing stays bit-stable.
         self.async_engine = bool(async_engine)
-        #: Virtual persist-worker lanes, modelling the multi-process
-        #: engine's worker pool: with ``async_engine`` on and more than
+        #: Virtual persist-worker lanes, modelling a pool of parallel
+        #: persist workers: with ``async_engine`` on and more than
         #: one lane, each persisted record is assigned to the
         #: earliest-free lane and the exposed stall is priced against the
         #: *least-loaded* lane's backlog (the next record starts there),
@@ -82,14 +81,6 @@ class LowDiffStrategy(CheckpointStrategy):
         self.compaction_io_bytes = 0.0
         self._in_batch = 0
         self._records_since_full = 0
-
-    @classmethod
-    def from_config(cls, config: CheckpointConfig, **kwargs) -> "LowDiffStrategy":
-        kwargs.setdefault("shards", getattr(config, "shards", 1))
-        kwargs.setdefault("shard_concurrency",
-                          getattr(config, "shard_concurrency", 4))
-        return cls(full_every=config.full_every_iters,
-                   batch_size=config.batch_size, **kwargs)
 
     # Sharded persist pricing ---------------------------------------------------
     def _persist_cost(self, nbytes: float):

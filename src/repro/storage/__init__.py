@@ -13,7 +13,6 @@ from repro.storage.serializer import (
     crc32_combine,
     pack_tree,
     pack_tree_into,
-    pack_tree_into_view,
     pack_tree_with_crc,
     unpack_tree,
     serialized_size,
@@ -26,7 +25,6 @@ from repro.storage.backends import (
     FlakyBackend,
     ChaosBackend,
     PrefixBackend,
-    backend_from_spec,
 )
 from repro.storage.resilience import (
     CircuitBreaker,
@@ -63,12 +61,6 @@ from repro.storage.async_engine import (
     PendingWrite,
     SnapshotStager,
     WriteAborted,
-)
-from repro.storage.mp_engine import (
-    MultiprocessCheckpointEngine,
-    ShmRing,
-    SubmitTimeout,
-    WorkerCrashed,
 )
 from repro.storage.sharded import (
     ShardLayout,
@@ -122,12 +114,6 @@ __all__ = [
     "PendingWrite",
     "SnapshotStager",
     "WriteAborted",
-    "MultiprocessCheckpointEngine",
-    "ShmRing",
-    "SubmitTimeout",
-    "WorkerCrashed",
-    "backend_from_spec",
-    "pack_tree_into_view",
     "PrefixBackend",
     "ShardLayout",
     "ShardedChainCompactor",

@@ -37,6 +37,8 @@ Design points
 * **Fail-stop** — a worker error is recorded, queued-but-unstarted work
   is dropped (resolved with :class:`WriteAborted`), and the error is
   re-raised on the training thread at the next submit/drain/finalize.
+  The first failure dumps the flight recorder once; the raised error
+  names the dump file.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from typing import Any
 import numpy as np
 
 from repro.obs import OBS, span as obs_span
+from repro.obs.flight import FLIGHT
 from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.payload_codec import payload_to_tree
 from repro.storage.serializer import pack_tree_into
@@ -285,6 +288,7 @@ class AsyncCheckpointEngine:
         self._failure: BaseException | None = None
         self._failure_seq: int | None = None   # seq of the record that failed
         self._failure_kind: str | None = None  # "full" | "diff"
+        self._failure_dump: str | None = None  # flight post-mortem path
         # Telemetry ----------------------------------------------------------
         self.submitted = 0
         self.committed = 0
@@ -482,6 +486,7 @@ class AsyncCheckpointEngine:
                     self._failure = error
                     self._failure_seq = task.seq
                     self._failure_kind = task.kind
+                    self._dump_flight_locked()
                     if OBS.enabled:
                         OBS.registry.counter("ckpt.async.failures").inc()
                         OBS.tracer.instant(
@@ -598,12 +603,32 @@ class AsyncCheckpointEngine:
         with self._lock:
             self._raise_if_failed_locked()
 
+    def _dump_flight_locked(self) -> None:
+        """Write the flight-recorder post-mortem for the latched failure.
+
+        Called once, when the sticky failure is first latched; the path
+        is appended to every re-raised error so the operator can find it.
+        """
+        FLIGHT.record("ckpt", "fail-stop", record_kind=self._failure_kind,
+                      seq=self._failure_seq, error=repr(self._failure))
+        try:
+            self._failure_dump = FLIGHT.dump(
+                reason=f"async engine fail-stop: {self._failure!r}",
+                extra={"outstanding": self._outstanding,
+                       "submitted": self.submitted,
+                       "committed": self.committed})
+        except OSError:  # pragma: no cover - dump dir unwritable
+            self._failure_dump = None
+
     def _raise_if_failed_locked(self) -> None:
         if self._failure is not None:
+            post_mortem = "" if self._failure_dump is None \
+                else f" [flight recorder post-mortem: {self._failure_dump}]"
             raise RuntimeError(
                 f"async persistence engine failed: {self._failure_kind} "
                 f"record seq {self._failure_seq} raised "
                 f"{type(self._failure).__name__}: {self._failure}"
+                f"{post_mortem}"
             ) from self._failure
 
     @property

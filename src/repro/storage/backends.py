@@ -58,20 +58,6 @@ class StorageBackend:
         """
         return 0
 
-    def process_safe_spec(self) -> tuple | None:
-        """Picklable recipe for re-opening this backend in a child process.
-
-        The multi-process persistence engine hands each spawned worker a
-        spec instead of the backend object itself — backend instances hold
-        locks, counters, and (for fault injectors) seeded RNG state that
-        must not be duplicated across address spaces.  Returns ``None``
-        when the backend cannot be re-opened from another process (the
-        in-memory and fault-injecting backends), which routes callers to
-        the thread engine instead.  :func:`backend_from_spec` is the
-        inverse.
-        """
-        return None
-
     # Public API with accounting --------------------------------------------------
     def write(self, key: str, data: bytes) -> None:
         """Write ``data`` (bytes, bytearray or memoryview) under ``key``.
@@ -128,10 +114,6 @@ class InMemoryBackend(StorageBackend):
     def list_keys(self, prefix: str = "") -> list[str]:
         with self._lock:
             return sorted(k for k in self._data if k.startswith(prefix))
-
-    def total_stored_bytes(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._data.values())
 
 
 class LocalDiskBackend(StorageBackend):
@@ -193,11 +175,6 @@ class LocalDiskBackend(StorageBackend):
                 if key.startswith(prefix) and not key.endswith(".tmp"):
                     keys.append(key)
         return sorted(keys)
-
-    def process_safe_spec(self) -> tuple | None:
-        # Independent processes can safely share a directory: every write
-        # is tmp-file + atomic rename, every read a plain open.
-        return ("local_disk", self.root)
 
     def purge_debris(self) -> int:
         """Delete orphaned ``.tmp`` files left by writes a crash interrupted.
@@ -265,27 +242,6 @@ class PrefixBackend(StorageBackend):
         # re-trigger a global sweep, so debris under this prefix is handled
         # by whoever owns the parent (the sharded store's own gc).
         return 0
-
-    def process_safe_spec(self) -> tuple | None:
-        inner_spec = self.inner.process_safe_spec()
-        if inner_spec is None:
-            return None
-        return ("prefix", self.prefix, inner_spec)
-
-
-def backend_from_spec(spec: tuple) -> StorageBackend:
-    """Re-open a backend from a :meth:`StorageBackend.process_safe_spec`.
-
-    Runs in persist-worker and recovery-worker child processes; the child
-    gets its own handle (own accounting, own locks) onto the same durable
-    store.
-    """
-    kind = spec[0]
-    if kind == "local_disk":
-        return LocalDiskBackend(spec[1])
-    if kind == "prefix":
-        return PrefixBackend(backend_from_spec(spec[2]), spec[1])
-    raise ValueError(f"unknown process-safe backend spec: {spec!r}")
 
 
 class ThrottledBackend(StorageBackend):

@@ -437,74 +437,6 @@ class CheckpointStore:
         self._count_storage_bytes("diff", len(data), raw_nbytes)
         return record
 
-    def register_full_blob(self, step: int, nbytes: int, crc: int,
-                           codec: str = "", raw_nbytes: int = 0
-                           ) -> FullCheckpointRecord:
-        """Commit a full checkpoint whose blob a worker process already wrote.
-
-        The multi-process persistence engine's commit stage: the persist
-        worker has written ``full/{step}.ckpt`` atomically (tmp + rename)
-        in its own address space, so the parent only records it in the
-        manifest.  The blob-before-manifest crash-ordering invariant is
-        preserved across the process boundary — a crash between the
-        worker's rename and this call leaves an unreferenced blob that
-        ``gc(purge_unreferenced=True)`` sweeps, never a manifest entry
-        pointing at missing bytes.
-        """
-        key = f"full/{step:010d}.ckpt"
-        with self._mutation_lock:
-            if not self.backend.exists(key):
-                raise ValueError(
-                    f"cannot register {key}: blob not found in backend")
-            record = FullCheckpointRecord(step=int(step), key=key,
-                                          nbytes=int(nbytes),
-                                          crc=crc & 0xFFFFFFFF,
-                                          codec=codec,
-                                          raw_nbytes=int(raw_nbytes))
-            self._fulls = [r for r in self._fulls if r.step != step] + [record]
-            self._fulls.sort(key=lambda r: r.step)
-            self._commit_manifest()
-        self._count_storage_bytes("full", int(nbytes), raw_nbytes)
-        return record
-
-    def register_diff_blob(self, start: int, end: int, count: int, nbytes: int,
-                           crc: int, codec: str = "", raw_nbytes: int = 0
-                           ) -> DiffCheckpointRecord:
-        """Commit a diff whose blob a worker process already wrote.
-
-        Same validation (range sanity + overlap guard) as
-        :meth:`save_diff_bytes`; an inconsistent overlap raises *before*
-        the manifest commit, leaving the worker's blob unreferenced —
-        debris for gc, never an ambiguous replay chain.
-        """
-        if end < start:
-            raise ValueError(f"diff range invalid: start={start} end={end}")
-        key = f"diff/{start:010d}_{end:010d}.ckpt"
-        with self._mutation_lock:
-            for existing in self._diffs:
-                if (existing.start, existing.end) != (start, end) \
-                        and start <= existing.end and end >= existing.start:
-                    raise ValueError(
-                        f"diff range [{start},{end}] overlaps existing record "
-                        f"[{existing.start},{existing.end}] inconsistently"
-                    )
-            if not self.backend.exists(key):
-                raise ValueError(
-                    f"cannot register {key}: blob not found in backend")
-            record = DiffCheckpointRecord(
-                start=int(start), end=int(end), key=key, nbytes=int(nbytes),
-                count=int(count), crc=crc & 0xFFFFFFFF,
-                codec=codec, raw_nbytes=int(raw_nbytes),
-            )
-            self._diffs = [
-                r for r in self._diffs if (r.start, r.end) != (start, end)
-            ] + [record]
-            self._diffs.sort(key=lambda r: (r.start, r.end))
-            self._commit_manifest()
-        self._count_storage_bytes("diff", int(nbytes), raw_nbytes)
-        return record
-
-    # Loading -----------------------------------------------------------------
     def latest_full(self) -> FullCheckpointRecord | None:
         return self._fulls[-1] if self._fulls else None
 
@@ -750,27 +682,6 @@ class CheckpointStore:
                 if old.key != key:
                     self.backend.delete(old.key)
         return record
-
-    def drop_diffs(self, records: list[DiffCheckpointRecord]) -> int:
-        """Remove diff records (manifest-first) and delete their blobs.
-
-        Used by compaction's rebase mode once a new full checkpoint makes
-        a chain prefix redundant.  Returns the number of blobs deleted.
-        """
-        if not records:
-            return 0
-        with self._mutation_lock:
-            doomed = {r.key for r in records}
-            before = len(self._diffs)
-            self._diffs = [r for r in self._diffs if r.key not in doomed]
-            if len(self._diffs) != before:
-                self._commit_manifest()
-            deleted = 0
-            for record in records:
-                if self.backend.exists(record.key):
-                    self.backend.delete(record.key)
-                    deleted += 1
-        return deleted
 
     def compact(self, policy=None, *, model_factory=None,
                 optimizer_factory=None, mode: str = "auto"):

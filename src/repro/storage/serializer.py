@@ -231,18 +231,6 @@ def pack_tree_into(tree, buffer: bytearray) -> tuple[memoryview, int]:
     if len(buffer) < total_len:
         buffer.extend(bytes(total_len - len(buffer)))
     view = memoryview(buffer)
-    crc = _pack_prepared(blobs, manifest, total_len, blob_crcs, view)
-    return view[:total_len], crc
-
-
-def _pack_prepared(blobs, manifest: bytes, total_len: int,
-                   blob_crcs: list[int], view: memoryview) -> int:
-    """Write an already-:func:`_prepare`'d tree into a writable view.
-
-    Shared tail of :func:`pack_tree_into` (growable pooled bytearray) and
-    :func:`pack_tree_into_view` (fixed-capacity shared-memory region).
-    Returns the whole-blob CRC32.
-    """
     manifest_end = _HEADER.size + len(manifest)
     _HEADER.pack_into(view, 0, MAGIC, len(manifest), total_len,
                       zlib.crc32(manifest))
@@ -253,30 +241,7 @@ def _pack_prepared(blobs, manifest: bytes, total_len: int,
         view[offset:end] = _as_byte_view(blob)
         offset = end
     head_crc = zlib.crc32(view[:manifest_end])
-    return _whole_crc(head_crc, blobs, blob_crcs)
-
-
-def pack_tree_into_view(tree, view: memoryview) -> tuple[int, int]:
-    """Serialize a checkpoint tree into a fixed-capacity writable view.
-
-    The shared-memory variant of :func:`pack_tree_into`: the destination
-    (a slice of a ``multiprocessing.shared_memory`` segment) cannot grow,
-    so the caller sizes it with :func:`serialized_size` and this packer
-    raises :class:`ValueError` rather than resize.  Array payloads are
-    memcpy'd straight from their contiguous source views into the shared
-    segment — the pack *is* the snapshot copy; no intermediate ``bytes``
-    objects and no pickle round-trip.
-
-    Returns ``(total_len, crc)`` — the packed byte count and the
-    whole-blob CRC32 (derived via :func:`crc32_combine`).
-    """
-    blobs, manifest, total_len, blob_crcs = _prepare(tree)
-    if len(view) < total_len:
-        raise ValueError(
-            f"destination view too small: need {total_len} bytes, "
-            f"have {len(view)}")
-    crc = _pack_prepared(blobs, manifest, total_len, blob_crcs, view)
-    return total_len, crc
+    return view[:total_len], _whole_crc(head_crc, blobs, blob_crcs)
 
 
 def pack_tree_with_crc(tree) -> tuple[bytes, int]:

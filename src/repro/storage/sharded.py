@@ -36,7 +36,7 @@ manifest**:
   over the stable index space (the ZeRO trainer re-derives ownership
   from its own active ranks).
 * :class:`ShardedPersistGroup` / :class:`ShardedChainCompactor` — the
-  async/multiprocess persistence engines and the retention compactor,
+  async persistence engine and the retention compactor,
   fanned out per shard.
 """
 
@@ -805,30 +805,23 @@ def elastic_restore(store: ShardedCheckpointStore, trainer,
 class ShardedPersistGroup:
     """One async persistence engine per shard behind the persist-target API.
 
-    ``save_full``/``save_diff`` slice on the submitting thread (both
-    engine flavors copy at submit — stager slots for the thread engine,
-    the shared-memory ring for the process engine — so the slices' view
-    lifetime ends inside the call) and fan the shard records out to the
-    per-shard engines; commit order *within* a shard is the engine's
-    usual submission-order turnstile, and cross-shard skew is harmless
-    because readers only trust the manifest intersection.
+    ``save_full``/``save_diff`` slice on the submitting thread (the
+    engine copies full slices into its stager slots at submit, so the
+    slices' view lifetime ends inside the call) and fan the shard records
+    out to the per-shard engines; commit order *within* a shard is the
+    engine's usual submission-order turnstile, and cross-shard skew is
+    harmless because readers only trust the manifest intersection.
     """
 
     def __init__(self, store: ShardedCheckpointStore,
-                 persist_mode: str = "thread", writer_threads: int = 2,
-                 queue_depth: int = 8, ring_mb: float = 64.0):
+                 writer_threads: int = 2, queue_depth: int = 8):
+        from repro.storage.async_engine import AsyncCheckpointEngine
         self.store = store
-        self.engines = []
-        for sub in store.shard_stores:
-            if persist_mode == "process":
-                from repro.storage.mp_engine import MultiprocessCheckpointEngine
-                self.engines.append(MultiprocessCheckpointEngine(
-                    sub, num_workers=writer_threads, queue_depth=queue_depth,
-                    ring_bytes=int(ring_mb * (1 << 20))))
-            else:
-                from repro.storage.async_engine import AsyncCheckpointEngine
-                self.engines.append(AsyncCheckpointEngine(
-                    sub, num_writers=writer_threads, queue_depth=queue_depth))
+        self.engines = [
+            AsyncCheckpointEngine(sub, num_writers=writer_threads,
+                                  queue_depth=queue_depth)
+            for sub in store.shard_stores
+        ]
 
     def save_full(self, step: int, model_state: dict, optimizer_state: dict,
                   extra: dict | None = None) -> list:

@@ -7,6 +7,9 @@ than sleep-based: a ``GateBackend`` blocks its writes on a
 commit, independent of scheduler timing.
 """
 
+import json
+import os
+import re
 import threading
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 
 from repro.compression import TopKCompressor
 from repro.core import CheckpointConfig, LowDiffCheckpointer
+from repro.obs.report import main as report_main
 from repro.optim import Adam
 from repro.tensor.models import MLP
 from repro.storage import (
@@ -320,6 +324,31 @@ class TestFailStop:
         engine.save_diff(1, 1, diff_payload(rng))
         with pytest.raises(RuntimeError, match="persistence engine failed"):
             engine.finalize()
+
+    def test_fail_stop_error_names_flight_dump(self, rng, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+        engine = AsyncCheckpointEngine(CheckpointStore(ExplodingBackend()),
+                                       num_writers=2, queue_depth=4)
+        engine.save_diff(1, 1, diff_payload(rng))
+        with pytest.raises(RuntimeError) as first:
+            engine.drain(timeout=WAIT)
+        with pytest.raises(RuntimeError) as again:
+            engine.raise_if_failed()
+        match = re.search(r"flight recorder post-mortem: (.+)\]$",
+                          str(first.value))
+        assert match is not None, str(first.value)
+        path = match.group(1)
+        assert os.path.isfile(path)
+        assert path in str(again.value)
+        assert os.listdir(tmp_path) == [os.path.basename(path)]  # dumped once
+        with open(path) as handle:
+            dump = json.load(handle)
+        assert "async engine fail-stop" in dump["reason"]
+        assert dump["entries"][-1]["name"] == "fail-stop"
+        assert report_main(["--flight", path]) == 0
+        assert "fail-stop" in capsys.readouterr().out
+        engine.abort()
 
 
 class TestEquivalence:

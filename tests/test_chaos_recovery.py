@@ -370,81 +370,3 @@ class TestCodecUnderChaos:
         assert result.full_step < newest.step
         assert result.step == 12
         assert newest.key in reopened.quarantined
-
-
-class TestProcessKillDrill:
-    """Real process-level failure (PR 8): SIGKILL a spawned persist
-    worker mid-stream over real disk.  The parent must surface a typed
-    failure, atomic publication must keep every committed blob clean,
-    and recovery must land bit-exact on a deterministic replay of the
-    committed prefix."""
-
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_sigkill_recovers_to_deterministic_prefix(self, seed, tmp_path):
-        import signal
-
-        from repro.compression import TopKCompressor
-        from repro.core.recovery import serial_recover
-        from repro.optim import SGD
-        from repro.storage import (
-            LocalDiskBackend,
-            MultiprocessCheckpointEngine,
-        )
-
-        compressor = TopKCompressor(0.5)
-
-        def payload_for(rng, model, step):
-            return compressor.compress({
-                name: rng.child("g", step, name).normal(size=p.shape)
-                for name, p in model.named_parameters()
-            })
-
-        total_steps = 12
-        kill_step = 3 + seed % 5
-        store = CheckpointStore(LocalDiskBackend(str(tmp_path)),
-                                codec="lossless")
-        model = MLP(8, [16], 4, rng=Rng(0))
-        optimizer = SGD(model, lr=1e-2)
-        engine = MultiprocessCheckpointEngine(store, num_workers=1,
-                                              queue_depth=16)
-        rng = Rng(seed)
-        error = None
-        try:
-            engine.save_full(0, model.state_dict(),
-                             optimizer.state_dict()).wait(timeout=60)
-            for step in range(1, total_steps + 1):
-                payload = payload_for(rng, model, step)
-                optimizer.step_with(payload.decompress())
-                engine.save_diff(step, step, payload)
-                if step == kill_step:
-                    os.kill(engine._workers[0].pid, signal.SIGKILL)
-            engine.finalize(timeout=60)
-        except RuntimeError as caught:  # WorkerCrashed subclasses it
-            error = caught
-        finally:
-            engine.abort()
-
-        reopened = CheckpointStore(LocalDiskBackend(str(tmp_path)),
-                                   codec="lossless")
-        assert not reopened.verify(deep=True).get("corrupt")
-        diffs = reopened.diffs()
-        committed = diffs[-1].end if diffs else 0
-        if committed < total_steps:
-            assert error is not None, \
-                "lost records must surface a typed failure"
-
-        # Deterministic reference: replay the identical seeded update
-        # stream from scratch up to the committed step.
-        ref_model = MLP(8, [16], 4, rng=Rng(0))
-        ref_opt = SGD(ref_model, lr=1e-2)
-        ref_rng = Rng(seed)
-        for step in range(1, committed + 1):
-            ref_opt.step_with(
-                payload_for(ref_rng, ref_model, step).decompress())
-
-        target_model = MLP(8, [16], 4, rng=Rng(9))
-        target_opt = SGD(target_model, lr=1e-2)
-        result = serial_recover(reopened, target_model, target_opt)
-        assert result.step == committed
-        for name, expected in ref_model.state_dict().items():
-            assert (target_model.state_dict()[name] == expected).all(), name

@@ -28,7 +28,6 @@ def test_examples_directory_complete():
         "cluster_simulation.py",
         "pipeline_parallel_vgg.py",
         "failure_drill.py",
-        "multiprocess_checkpointing.py",
         "convergence_study.py",
     } <= set(EXAMPLES)
 

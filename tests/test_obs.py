@@ -5,13 +5,17 @@ reset), the tracer (nesting, ordering, deterministic serialization), the
 disabled fast path (zero allocation), the sim's virtual-clock traces
 (byte-identical across identical runs), and the instrumented functional
 stack (LowDiff with the async engine emits a valid Chrome trace plus a
-metrics snapshot; engine failures surface their originating record).
+metrics snapshot; engine failures surface their originating record),
+interpolated histogram quantiles, the flight recorder, and the SLO
+targets and watchdog.
 """
 
 import json
+import os
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -22,6 +26,16 @@ from repro.compression.sparse import (
 )
 from repro.core import CheckpointConfig, LowDiffCheckpointer
 from repro.obs import NOOP_SPAN, OBS, MetricsRegistry, Tracer
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import Histogram, quantile_from_snapshot
+from repro.obs.report import main as report_main, tail_latency_rows
+from repro.obs.slo import (
+    DEFAULT_TARGETS,
+    SloTarget,
+    SloWatchdog,
+    evaluate_snapshot,
+    load_slo_config,
+)
 from repro.sim.cluster import A100_CLUSTER
 from repro.sim.engine import TrainingSim
 from repro.sim.strategies.lowdiff import LowDiffStrategy
@@ -380,3 +394,178 @@ class TestFunctionalIntegration:
                 engine.save_diff(1, 1, payload).wait(timeout=10.0)
             engine.abort()
             assert active.registry.counter("ckpt.async.failures").value == 1
+
+
+# ---------------------------------------------------------------------------
+# Interpolated quantiles
+# ---------------------------------------------------------------------------
+
+class TestQuantiles:
+    def test_against_exact_percentiles_uniform(self):
+        # Uniformly spread samples inside bucket spans: linear
+        # interpolation is exact to within one bucket span.
+        rng = np.random.default_rng(3)
+        samples = rng.uniform(0.0005, 4.0, size=5000)
+        hist = Histogram("t")
+        for value in samples:
+            hist.observe(value)
+        for q in (0.5, 0.95, 0.99):
+            exact = float(np.quantile(samples, q))
+            estimate = hist.quantile(q)
+            # Error bound: the span of the bucket the true quantile is in.
+            bucket = next(b for b in hist.buckets if exact <= b)
+            below = max((b for b in hist.buckets if b < bucket), default=0.0)
+            assert abs(estimate - exact) <= (bucket - below) + 1e-12, \
+                f"q={q}: estimate {estimate} vs exact {exact}"
+
+    def test_clamped_to_observed_range(self):
+        hist = Histogram("t")
+        for value in (0.007, 0.009, 0.008):
+            hist.observe(value)
+        assert hist.quantile(0.99) <= 0.009
+        assert hist.quantile(0.0) >= 0.007
+
+    def test_empty_histogram_returns_none(self):
+        assert Histogram("t").quantile(0.5) is None
+
+    def test_overflow_bucket_uses_max(self):
+        hist = Histogram("t", buckets=(1.0,))
+        hist.observe(5.0)
+        hist.observe(7.0)
+        assert hist.quantile(0.99) <= 7.0
+        assert hist.quantile(0.99) > 1.0
+
+    def test_snapshot_round_trip_matches_live(self):
+        hist = Histogram("t")
+        rng = np.random.default_rng(4)
+        for value in rng.uniform(0.001, 2.0, size=500):
+            hist.observe(value)
+        snap = json.loads(json.dumps(hist._snapshot()))
+        for q in (0.5, 0.95, 0.99):
+            assert quantile_from_snapshot(snap, q) \
+                == pytest.approx(hist.quantile(q))
+
+    def test_report_tail_rows_cover_worker_histograms(self):
+        registry = MetricsRegistry()
+        for value in (0.01, 0.02, 0.03):
+            registry.observe("ckpt.mp.worker.encode.s", value)
+        registry.inc("ckpt.mp.worker.tasks", 3)  # non-histogram: skipped
+        rows = tail_latency_rows(registry.snapshot())
+        assert [r["metric"] for r in rows] == ["ckpt.mp.worker.encode.s"]
+        assert rows[0]["count"] == 3
+        assert rows[0]["p99"] <= 0.03 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Flight recorder
+# ---------------------------------------------------------------------------
+
+class TestFlightRecorder:
+    def test_ring_keeps_only_newest(self):
+        recorder = FlightRecorder(capacity=3)
+        for index in range(10):
+            recorder.record("task", "start", seq=index)
+        entries = recorder.entries()
+        assert len(entries) == 3
+        assert [e["data"]["seq"] for e in entries] == [7, 8, 9]
+        assert recorder.recorded == 10
+
+    def test_dump_is_valid_json_with_reason(self, tmp_path):
+        recorder = FlightRecorder(capacity=8)
+        recorder.record("ckpt", "submit", seq=0)
+        path = recorder.dump(path=str(tmp_path / "flight.json"),
+                             reason="unit test", extra={"outstanding": 1})
+        with open(path) as handle:
+            body = json.load(handle)
+        assert body["reason"] == "unit test"
+        assert body["extra"] == {"outstanding": 1}
+        assert body["entries"][0]["name"] == "submit"
+
+    def test_report_cli_renders_flight_dump(self, tmp_path, capsys):
+        recorder = FlightRecorder(capacity=8)
+        recorder.record("task", "error", seq=3, error="boom")
+        path = recorder.dump(path=str(tmp_path / "flight.json"),
+                             reason="drill")
+        assert report_main(["--flight", path]) == 0
+        out = capsys.readouterr().out
+        assert "drill" in out and "error" in out
+
+
+# ---------------------------------------------------------------------------
+# SLO targets and watchdog
+# ---------------------------------------------------------------------------
+
+class TestSlo:
+    def test_scalar_sum_over_pattern(self):
+        target = SloTarget(name="stall", metric="ckpt.*.stall.s",
+                           threshold=1.0, aggregate="sum")
+        snapshot = {"ckpt.a.stall.s": 0.6, "ckpt.b.stall.s": 0.7}
+        result = evaluate_snapshot([target], snapshot)[0]
+        assert result.observed == pytest.approx(1.3)
+        assert result.breached
+
+    def test_quantile_aggregate_takes_worst_match(self):
+        hist_fast, hist_slow = Histogram("a"), Histogram("b")
+        hist_fast.observe(0.01)
+        hist_slow.observe(0.9)
+        target = SloTarget(name="p99", metric="lat.*", threshold=0.5,
+                           aggregate="p99")
+        snapshot = {"lat.a": hist_fast._snapshot(),
+                    "lat.b": hist_slow._snapshot()}
+        result = evaluate_snapshot([target], snapshot)[0]
+        assert result.breached
+        assert result.observed > 0.5
+
+    def test_no_data_is_not_a_breach(self):
+        results = evaluate_snapshot(DEFAULT_TARGETS, {})
+        assert all(not r.breached for r in results)
+        assert all(r.status == "no-data" for r in results)
+
+    def test_min_objective(self):
+        target = SloTarget(name="throughput", metric="tps", threshold=10,
+                           objective="min")
+        assert evaluate_snapshot([target], {"tps": 5})[0].breached
+        assert not evaluate_snapshot([target], {"tps": 15})[0].breached
+
+    def test_invalid_objective_rejected(self):
+        with pytest.raises(ValueError):
+            SloTarget(name="x", metric="m", threshold=1, objective="exact")
+        with pytest.raises(ValueError):
+            SloTarget(name="x", metric="m", threshold=1, aggregate="p42")
+
+    def test_load_config_and_cli_gate_exit_codes(self, tmp_path, capsys):
+        config = tmp_path / "slo.json"
+        config.write_text(json.dumps({"targets": [
+            {"name": "tasks-bound", "metric": "w.tasks", "threshold": 2},
+        ]}))
+        targets = load_slo_config(str(config))
+        assert targets[0].name == "tasks-bound"
+
+        healthy = tmp_path / "ok.json"
+        healthy.write_text(json.dumps({"w.tasks": 1}))
+        breached = tmp_path / "bad.json"
+        breached.write_text(json.dumps({"w.tasks": 9}))
+        assert report_main(["--metrics", str(healthy),
+                            "--slo", str(config)]) == 0
+        capsys.readouterr()
+        assert report_main(["--metrics", str(breached),
+                            "--slo", str(config)]) == 1
+        assert "BREACH" in capsys.readouterr().out
+
+    def test_ci_config_parses_against_defaults_shape(self):
+        targets = load_slo_config(
+            os.path.join(os.path.dirname(__file__), os.pardir,
+                         "benchmarks", "slo_ci.json"))
+        assert {t.name for t in targets} >= {
+            "persist-stall-budget", "breaker-open"}
+
+    def test_watchdog_records_breaches(self):
+        target = SloTarget(name="tasks-bound", metric="w.tasks", threshold=1)
+        with obs.capture() as active:
+            active.registry.inc("w.tasks", 5)
+            watchdog = SloWatchdog([target])
+            breaches = watchdog.check()
+            snap = active.registry.snapshot()
+        assert len(breaches) == 1
+        assert snap["slo.breaches"] == 1
+        assert snap["slo.breach.tasks-bound"] == 1

@@ -254,27 +254,3 @@ class TestPersistWorkerLanes:
             LowDiffStrategy(full_every=100, batch_size=2,
                             persist_workers=8)))
         assert base == laned
-
-
-class TestCalibrateFromBench:
-    def test_round_trip_into_sim(self):
-        bench = {"calibration": {"persist_mb_s": 850.0,
-                                 "recover_mb_s": 1200.0}}
-        spec = A100_CLUSTER.calibrate_from_bench(bench)
-        assert spec.name == "a100-calibrated"
-        assert spec.ssd_write_bandwidth == 850.0 * 1e6
-        assert spec.ssd_read_bandwidth == 1200.0 * 1e6
-        workload = Workload.create("gpt2_small", spec, rho=0.01)
-        result = TrainingSim(workload, LowDiffStrategy(
-            full_every=100, batch_size=2, async_engine=True,
-            persist_workers=4)).run(100)
-        assert result.overhead_fraction >= 0.0
-
-    def test_top_level_keys_accepted(self):
-        spec = A100_CLUSTER.calibrate_from_bench({"persist_mb_s": 500.0})
-        assert spec.ssd_write_bandwidth == 500.0 * 1e6
-        assert spec.ssd_read_bandwidth == A100_CLUSTER.ssd_read_bandwidth
-
-    def test_missing_rates_rejected(self):
-        with pytest.raises(ValueError):
-            A100_CLUSTER.calibrate_from_bench({"calibration": {}})
