@@ -10,11 +10,12 @@ writes ``BENCH_PR10.json`` at the repo root:
    the unsharded baseline; the guard pins S=4 concurrent persistence to
    within 1.1x of it (slicing + per-shard manifests must stay in the
    noise when writes overlap).
-2. **Recovery** — serial replay vs parallel per-shard merge-tree recovery
+2. **Recovery** — serial replay vs parallel merge-tree recovery (the
+   same ``serial_recover``/``parallel_recover`` the unsharded store uses)
    over the same sharded chain, bit-exactness of the parallel result
-   pinned against the *unsharded* parallel path (same merge-tree shape →
-   identical fp32 folds), with the guard requiring the parallel path to
-   be no slower than serial.
+   pinned against the *unsharded* parallel path (reassembled payloads are
+   bit-identical → identical fp32 folds), with the guard requiring the
+   parallel path to be no slower than serial.
 3. **Sim cross-check** — the calibrated performance model with the same
    shard knobs, tying the measured effect to the simulator's pricing.
 
@@ -35,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro.compression import TopKCompressor
-from repro.core.recovery import parallel_recover
+from repro.core.recovery import parallel_recover, serial_recover
 from repro.optim import Adam
 from repro.sim import LowDiffStrategy, TrainingSim, Workload
 from repro.sim.cluster import A100_CLUSTER
@@ -43,10 +44,6 @@ from repro.storage import (
     CheckpointStore,
     LocalDiskBackend,
     ShardedCheckpointStore,
-)
-from repro.storage.sharded import (
-    sharded_parallel_recover,
-    sharded_serial_recover,
 )
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
@@ -162,7 +159,7 @@ def persist_headline(cells: list[dict]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 2. Recovery: serial vs parallel per-shard merge
+# 2. Recovery: serial vs parallel merge over the sharded chain
 # ---------------------------------------------------------------------------
 
 def fresh_model_opt(seed: int):
@@ -208,10 +205,9 @@ def measure_recovery(tmpdir: str) -> dict:
         LocalDiskBackend(os.path.join(tmpdir, "recover-plain")))
     populate_training(reference)
 
-    serial_s, serial_result, _ = time_recover(
-        sharded_serial_recover, store)
+    serial_s, serial_result, _ = time_recover(serial_recover, store)
     parallel_s, parallel_result, parallel_states = time_recover(
-        sharded_parallel_recover, store)
+        parallel_recover, store)
     _, _, ref_states = time_recover(parallel_recover, reference, repeats=1)
 
     bit_exact = all(
@@ -286,8 +282,8 @@ def test_sharded_persist_within_budget(results):
 
 
 def test_parallel_recovery_no_slower_than_serial(results):
-    """Guard: per-shard parallel merge recovery is no slower than the
-    serial replay over the same chain."""
+    """Guard: parallel merge recovery over the sharded chain is no slower
+    than the serial replay over the same chain."""
     recovery = results["recovery"]
     assert recovery["parallel_s"] <= recovery["serial_s"], recovery
 
@@ -296,8 +292,8 @@ def test_parallel_recovery_bit_exact(results):
     recovery = results["recovery"]
     assert recovery["bit_exact_vs_unsharded_parallel"]
     assert recovery["recovered_step"] == CHAIN_LENGTH
-    # 4 shards x (chain-1) pairwise merges.
-    assert recovery["merge_ops"] == 4 * (CHAIN_LENGTH - 1)
+    # One merge tree over the reassembled chain: chain-1 pairwise merges.
+    assert recovery["merge_ops"] == CHAIN_LENGTH - 1
 
 
 def test_sim_sharding_reduces_overhead(results):

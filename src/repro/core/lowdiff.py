@@ -33,6 +33,7 @@ from repro.core.reusing_queue import QueueClosed, ReusingQueue
 from repro.obs import OBS, span as obs_span
 from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.compaction import ChainCompactor
 
 
 @dataclass
@@ -127,13 +128,11 @@ class LowDiffCheckpointer:
         self.engine = None
         persist_target = store
         from repro.storage.sharded import (
-            ShardedChainCompactor,
             ShardedCheckpointStore,
             ShardedPersistGroup,
         )
-        sharded = isinstance(store, ShardedCheckpointStore)
         if config.async_persist:
-            if sharded:
+            if isinstance(store, ShardedCheckpointStore):
                 self.engine = ShardedPersistGroup(
                     store,
                     writer_threads=config.writer_threads,
@@ -150,16 +149,11 @@ class LowDiffCheckpointer:
         self.retention = retention
         self.compactor = None
         if retention is not None:
-            if sharded:
-                self.compactor = ShardedChainCompactor(
-                    store, retention, engine=self.engine)
-            else:
-                from repro.storage.compaction import ChainCompactor
-                self.compactor = ChainCompactor(
-                    store, retention, engine=self.engine,
-                    model_factory=model_factory,
-                    optimizer_factory=optimizer_factory,
-                )
+            self.compactor = ChainCompactor(
+                store, retention, engine=self.engine,
+                model_factory=model_factory,
+                optimizer_factory=optimizer_factory,
+            )
         self.writer = BatchedGradientWriter(
             persist_target, batch_size=config.batch_size,
             offload_to_cpu=offload_to_cpu
@@ -334,15 +328,6 @@ class LowDiffCheckpointer:
     # Recovery ----------------------------------------------------------------------
     def recover(self, model, optimizer, parallel: bool = False) -> RecoveryResult:
         """Restore ``model``/``optimizer`` from the persisted series."""
-        from repro.storage.sharded import (
-            ShardedCheckpointStore,
-            sharded_parallel_recover,
-            sharded_serial_recover,
-        )
-        if isinstance(self.store, ShardedCheckpointStore):
-            if parallel:
-                return sharded_parallel_recover(self.store, model, optimizer)
-            return sharded_serial_recover(self.store, model, optimizer)
         if parallel:
             return parallel_recover(self.store, model, optimizer)
         return serial_recover(self.store, model, optimizer)

@@ -9,6 +9,10 @@ deltas) and applies the single merged result — ``n-1`` merge operations
 arranged at critical-path depth ``ceil(log2 n)`` instead of ``n``
 sequential applications (Fig. "Parallel Fast Recovery").
 
+Both walks run on any store serving the chain protocol — the unsharded
+:class:`CheckpointStore` or the sharded store, whose views reassemble
+per-shard records bit-exactly.
+
 Semantics note (also in DESIGN.md): merging ``k`` gradient payloads and
 applying once is exact for linear optimizers (SGD without momentum) and
 for state deltas; for Adam it has gradient-accumulation semantics — the

@@ -64,14 +64,11 @@ from repro.storage.async_engine import (
 )
 from repro.storage.sharded import (
     ShardLayout,
-    ShardedChainCompactor,
     ShardedCheckpointStore,
     ShardedDiffView,
     ShardedFullView,
     ShardedPersistGroup,
     elastic_restore,
-    sharded_parallel_recover,
-    sharded_serial_recover,
 )
 
 __all__ = [
@@ -116,12 +113,9 @@ __all__ = [
     "WriteAborted",
     "PrefixBackend",
     "ShardLayout",
-    "ShardedChainCompactor",
     "ShardedCheckpointStore",
     "ShardedDiffView",
     "ShardedFullView",
     "ShardedPersistGroup",
     "elastic_restore",
-    "sharded_parallel_recover",
-    "sharded_serial_recover",
 ]

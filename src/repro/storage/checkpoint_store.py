@@ -631,16 +631,18 @@ class CheckpointStore:
         return deleted
 
     # Compaction ----------------------------------------------------------------
-    def replace_diff_run(self, run: list[DiffCheckpointRecord], data, crc: int,
-                         count: int | None = None, codec: str = "",
-                         raw_nbytes: int = 0) -> DiffCheckpointRecord:
+    def replace_diff_run(self, run: list[DiffCheckpointRecord], payload,
+                         count: int) -> DiffCheckpointRecord:
         """Atomically swap a contiguous run of diff records for one super-diff.
 
-        ``data``/``crc`` are the serialized consolidated record covering
-        exactly ``[run[0].start, run[-1].end]``.  This bypasses
-        :meth:`save_diff_bytes`'s overlap guard (the super-diff's range
-        *deliberately* overlaps the singles it replaces) and does the swap
-        as manifest surgery with crash-safe ordering:
+        ``payload`` is the run's merged payload, representing ``count``
+        gradients over exactly ``[run[0].start, run[-1].end]``.  It is
+        encoded with ``pre_encoded=True``: merged lossy payloads carry
+        already-quantized values, so only the stateless byte stage reruns
+        and compaction never adds a second quantization error.  This
+        bypasses :meth:`save_diff_bytes`'s overlap guard (the super-diff's
+        range *deliberately* overlaps the singles it replaces) and does
+        the swap as manifest surgery with crash-safe ordering:
 
         1. write the super-diff blob (old view still consistent — the new
            blob is unreferenced debris if we crash here);
@@ -651,9 +653,14 @@ class CheckpointStore:
         """
         if not run:
             raise ValueError("replace_diff_run requires a non-empty run")
+        start, end = run[0].start, run[-1].end
+        tree, codec_id, raw_nbytes = self.encode_record_tree(
+            self.diff_tree(start, end, count, payload_to_tree(payload)),
+            "diff", pre_encoded=True)
+        data, crc = pack_tree_with_crc(tree)
         with self._mutation_lock:
             keys = {r.key for r in self._diffs}
-            next_start = run[0].start
+            next_start = start
             for record in run:
                 if record.key not in keys:
                     raise ValueError(
@@ -663,15 +670,12 @@ class CheckpointStore:
                         f"run is not contiguous at step {record.start} "
                         f"(expected start {next_start})")
                 next_start = record.end + 1
-            start, end = run[0].start, run[-1].end
-            resolved_count = int(count if count is not None
-                                 else sum(r.count for r in run))
             key = f"diff/{start:010d}_{end:010d}.ckpt"
             self.backend.write(key, data)
             record = DiffCheckpointRecord(
                 start=int(start), end=int(end), key=key, nbytes=len(data),
-                count=resolved_count, crc=crc & 0xFFFFFFFF,
-                codec=codec, raw_nbytes=int(raw_nbytes),
+                count=int(count), crc=crc & 0xFFFFFFFF,
+                codec=codec_id, raw_nbytes=int(raw_nbytes),
             )
             replaced = {r.key for r in run}
             self._diffs = [r for r in self._diffs

@@ -37,6 +37,9 @@ before the manifest commit that references them, manifest commits before
 the deletes they orphan.  A crash at any point inside a compaction leaves
 either the previous consistent view plus unreferenced debris (swept by the
 next ``gc``) or the new view; never a manifest entry naming a missing key.
+A sharded store commits the swap shard by shard; a crash between shards
+leaves their record boundaries apart, which its ``diffs_after`` reads as
+the new view.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ from repro.storage.checkpoint_store import (
     CheckpointStore,
     DiffCheckpointRecord,
 )
-from repro.storage.payload_codec import payload_to_tree
-from repro.storage.serializer import pack_tree_into, pack_tree_with_crc
 
 
 @dataclass(frozen=True)
@@ -175,16 +176,16 @@ class ChainCompactor:
     (their state is overwritten by the loaded full).  ``mode="auto"``
     picks rebase when factories are available, merge otherwise.
 
-    ``buffers`` may be an :class:`~repro.storage.async_engine.BufferPool`
-    (typically the async engine's) so merge-mode serialization reuses the
-    engine's pooled zero-copy buffers; ``engine`` wires both the pool and
-    a pre-compaction ``drain()`` so compaction never races in-flight
-    writes of the same chain.
+    ``engine`` (an async engine or a sharded persist group) wires a
+    pre-compaction ``drain()`` so compaction never races in-flight writes
+    of the same chain.  ``store`` is any store serving the chain protocol
+    — a :class:`CheckpointStore` or a sharded store, which commits each
+    super-diff per shard.
     """
 
     def __init__(self, store: CheckpointStore, policy: RetentionPolicy,
                  *, model_factory=None, optimizer_factory=None,
-                 mode: str = "auto", engine=None, buffers=None):
+                 mode: str = "auto", engine=None):
         if mode not in ("auto", "merge", "rebase"):
             raise ValueError(f"unknown compaction mode: {mode!r}")
         if mode == "rebase" and (model_factory is None
@@ -197,8 +198,6 @@ class ChainCompactor:
         self.optimizer_factory = optimizer_factory
         self.mode = mode
         self.engine = engine
-        self.buffers = buffers if buffers is not None \
-            else getattr(engine, "buffers", None)
         self.reports: list[CompactionReport] = []
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -302,20 +301,6 @@ class ChainCompactor:
             return SparseGradient.merge_ordered(payloads)
         return reduce(lambda a, b: a.add(b), payloads)
 
-    def _serialize_diff(self, start: int, end: int, count: int, payload):
-        tree = CheckpointStore.diff_tree(start, end, count,
-                                         payload_to_tree(payload))
-        # pre_encoded=True: merged lossy payloads carry already-quantized
-        # values; only the stateless byte stage reruns, so compaction never
-        # adds a second quantization error on top of the original one.
-        tree, codec_id, raw_nbytes = self.store.encode_record_tree(
-            tree, "diff", pre_encoded=True)
-        if self.buffers is None:
-            return pack_tree_with_crc(tree), None, None, codec_id, raw_nbytes
-        buffer = self.buffers.acquire()
-        view, crc = pack_tree_into(tree, buffer)
-        return (view, crc), view, buffer, codec_id, raw_nbytes
-
     def _merge(self) -> CompactionReport:
         """Fold aged runs of ``compact_run`` adjacent records into super-diffs.
 
@@ -358,16 +343,7 @@ class ChainCompactor:
                 merged = self.merge_payloads_ordered(payloads)
             except Exception:
                 return False  # unreadable or un-addable payloads: leave run
-            count = sum(r.count for r in run)
-            (data, crc), view, buffer, codec_id, raw_nbytes = \
-                self._serialize_diff(run[0].start, run[-1].end, count, merged)
-            try:
-                store.replace_diff_run(run, data, crc, count=count,
-                                       codec=codec_id, raw_nbytes=raw_nbytes)
-            finally:
-                if view is not None:
-                    view.release()
-                    self.buffers.release(buffer)
+            store.replace_diff_run(run, merged, sum(r.count for r in run))
         return True
 
     # Rebase mode -----------------------------------------------------------

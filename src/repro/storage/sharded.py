@@ -15,29 +15,33 @@ manifest**:
   what makes restore *elastic*.
 * :class:`ShardedCheckpointStore` — a facade over ``S`` per-shard
   :class:`CheckpointStore` instances (each behind a
-  :class:`~repro.storage.backends.PrefixBackend` namespace), exposing the
-  familiar ``save_full``/``save_diff``/``gc``/``verify`` API.  Fulls are
-  flat slices of model arrays + optimizer slots per shard range; diffs
-  are per-shard restrictions of the sparse payload.
-* **Crash consistency by manifest intersection** — the readable view is
-  exactly the records present in *all* ``S`` per-shard manifests.  A
-  crash between shard commits leaves a partial shard set that is simply
-  invisible (swept by ``gc``); no root commit marker is needed, and each
-  shard store keeps its own blob-before-manifest ordering.
-* :func:`sharded_serial_recover` / :func:`sharded_parallel_recover` —
-  bit-exact equivalents of the unsharded recovery paths: reassembled
-  payloads are bit-identical to the originals (disjoint sorted index
-  ranges concatenate back losslessly) and each shard's pairwise merge
-  tree has the same shape as the unsharded tree, so per-coordinate fold
-  order — and therefore every fp32 rounding — is identical.
+  :class:`~repro.storage.backends.PrefixBackend` namespace) that serves
+  the same chain protocol as the unsharded store (``fulls``/
+  ``diffs_after``/``load_full``/``load_diff``/``read_raw``/
+  ``decode_diff``/``quarantine``/``replace_diff_run``/``gc``).  The one
+  recovery walk (:func:`repro.core.recovery.serial_recover` /
+  :func:`~repro.core.recovery.parallel_recover`) and the one compactor
+  (:class:`~repro.storage.compaction.ChainCompactor`) therefore run on it
+  unchanged: reassembled payloads are bit-identical to the originals
+  (disjoint sorted index ranges concatenate back losslessly), so every
+  fold and every fp32 rounding matches the unsharded store.
+* **Crash consistency by manifest intersection** — a full is readable
+  iff all ``S`` per-shard manifests commit it, and a diff view iff every
+  shard covers its range.  A crash between shard commits leaves a
+  partial shard set that is simply invisible (swept by ``gc``); no root
+  commit marker is needed, and each shard store keeps its own
+  blob-before-manifest ordering.  A crash between the shard commits of a
+  compaction leaves shards disagreeing about record boundaries; the view
+  groups each shard's records until all reach the same end.
+* **A view is one record** — ``quarantine`` moves every shard blob of a
+  failing view aside, not only the blob that failed.
 * :func:`elastic_restore` — recover a checkpoint written at world size N
   onto a trainer of world size M: nothing in the store depends on the
   world size, so restore is just recovery plus re-partitioning ownership
   over the stable index space (the ZeRO trainer re-derives ownership
   from its own active ranks).
-* :class:`ShardedPersistGroup` / :class:`ShardedChainCompactor` — the
-  async persistence engine and the retention compactor,
-  fanned out per shard.
+* :class:`ShardedPersistGroup` — the async persistence engine, fanned out
+  per shard.
 """
 
 from __future__ import annotations
@@ -279,16 +283,21 @@ class ShardedFullView:
 
 @dataclass(frozen=True)
 class ShardedDiffView:
-    """A diff record committed with an identical range in every shard."""
+    """A diff range ``[start, end]`` covered by every shard.
+
+    ``records[s]`` is shard ``s``'s run of records over the range: one
+    record when the shards agree on its boundaries, several on a shard
+    whose compaction commit a crash cut off.
+    """
 
     start: int
     end: int
     count: int
-    records: tuple[DiffCheckpointRecord, ...]
+    records: tuple[tuple[DiffCheckpointRecord, ...], ...]
 
     @property
     def nbytes(self) -> int:
-        return sum(r.nbytes for r in self.records)
+        return sum(r.nbytes for group in self.records for r in group)
 
 
 class ShardedCheckpointStore:
@@ -296,11 +305,13 @@ class ShardedCheckpointStore:
 
     The readable view is the **intersection** of the per-shard manifests:
     a full checkpoint exists iff every shard committed it, and the diff
-    chain is the longest prefix on which every shard agrees about each
-    record's ``(start, end)`` range.  A crash that commits only a subset
-    of shards therefore never yields a readable inconsistent state — the
-    partial records are invisible debris until ``gc`` sweeps them or a
-    retried write completes the set.
+    chain is the longest prefix every shard covers.  A crash that commits
+    only a subset of shards therefore never yields a readable
+    inconsistent state — the partial records are invisible debris until
+    ``gc`` sweeps them or a retried write completes the set.
+
+    It serves the chain protocol of :class:`CheckpointStore`, with views
+    in place of records, so recovery and compaction need no sharded twin.
 
     ``shard_concurrency`` bounds the per-checkpoint IO fan-out; writes
     only overlap when the underlying backend declares
@@ -433,7 +444,8 @@ class ShardedCheckpointStore:
 
             records = self._map_shards(persist)
         view = ShardedDiffView(start=int(start), end=int(end),
-                               count=resolved_count, records=tuple(records))
+                               count=resolved_count,
+                               records=tuple((r,) for r in records))
         self._count_shard_persist("diff", view.nbytes,
                                   time.perf_counter() - persist_t0)
         return view
@@ -472,48 +484,91 @@ class ShardedCheckpointStore:
         return views[-1] if views else None
 
     def diffs_after(self, step: int) -> list[ShardedDiffView]:
-        """The committed chain after ``step``: the longest prefix on which
-        every shard holds a record with an identical ``(start, end)``
-        range.  A shard lagging (crash between shard commits) or diverging
-        (independent compaction progress) truncates the readable chain —
-        never yields a mixed-range replay."""
-        chains = [sub.diffs_after(step) for sub in self.shard_stores]
+        """The committed chain after ``step``, in replay order.
+
+        Each view grows every shard's run of records until all shards
+        reach the same ``end``, and requires their summed ``count``s to
+        agree.  A crash between the shard commits of a compaction (one
+        shard already holds the super-diff, another still the records it
+        replaces) therefore reads as the super-diff, while a shard that
+        runs out of records (a crash between the shard commits of a new
+        diff) truncates the chain there.
+        """
+        chains = [iter(sub.diffs_after(step)) for sub in self.shard_stores]
         views: list[ShardedDiffView] = []
-        for position in range(min(len(c) for c in chains)):
-            records = tuple(chain[position] for chain in chains)
-            ranges = {(r.start, r.end) for r in records}
-            if len(ranges) != 1:
-                break
+        start = step + 1
+        while True:
+            groups: list[list[DiffCheckpointRecord]] = [[] for _ in chains]
+            end = start
+            while True:
+                for chain, group in zip(chains, groups):
+                    while not group or group[-1].end < end:
+                        record = next(chain, None)
+                        if record is None:
+                            return views
+                        group.append(record)
+                top = max(group[-1].end for group in groups)
+                if top == end:
+                    break
+                end = top
+            counts = {sum(r.count for r in group) for group in groups}
+            if len(counts) != 1:
+                return views
             views.append(ShardedDiffView(
-                start=records[0].start, end=records[0].end,
-                count=records[0].count, records=records))
-        return views
+                start=start, end=end, count=counts.pop(),
+                records=tuple(tuple(group) for group in groups)))
+            start = end + 1
 
     # Loading ----------------------------------------------------------------
-    def load_full(self, view: ShardedFullView) -> tuple[dict, dict, int]:
-        """Reassemble a committed sharded full checkpoint."""
+    def _require_layout(self) -> ShardLayout:
         if self._layout is None:
             raise FileNotFoundError(
                 "sharded store has no layout manifest; nothing was written")
+        return self._layout
+
+    def load_full(self, view: ShardedFullView) -> tuple[dict, dict, int]:
+        """Reassemble a committed sharded full checkpoint."""
+        layout = self._require_layout()
         shard_states = []
         for shard, record in enumerate(view.records):
             model_state, opt_state, _ = \
                 self.shard_stores[shard].load_full(record)
             shard_states.append((model_state, opt_state))
-        model_state, optimizer_state = \
-            self._layout.assemble_full(shard_states)
+        model_state, optimizer_state = layout.assemble_full(shard_states)
         return model_state, optimizer_state, view.step
+
+    def read_raw(self, view: ShardedDiffView) -> list:
+        """Every shard blob of ``view``, unverified, grouped per shard."""
+        return [[self.shard_stores[shard].read_raw(record) for record in group]
+                for shard, group in enumerate(view.records)]
+
+    def decode_diff(self, view: ShardedDiffView, raws: list) -> SparseGradient:
+        """Verify + deserialize :meth:`read_raw`'s blobs into the view's
+        payload (thread-safe).  A shard's run of several records folds
+        with :meth:`SparseGradient.merge_ordered`, the fold compaction
+        itself writes, and the shard pieces concatenate bit-exactly."""
+        layout = self._require_layout()
+        payloads = []
+        for group, group_raws in zip(view.records, raws):
+            parts = [CheckpointStore.decode_diff(record, raw)
+                     for record, raw in zip(group, group_raws)]
+            payloads.append(parts[0] if len(parts) == 1
+                            else SparseGradient.merge_ordered(parts))
+        return layout.assemble_payload(payloads)
 
     def load_diff(self, view: ShardedDiffView) -> SparseGradient:
         """Reassemble a committed sharded diff payload (bit-exact)."""
-        if self._layout is None:
-            raise FileNotFoundError(
-                "sharded store has no layout manifest; nothing was written")
-        payloads = [
-            self.shard_stores[shard].load_diff(record)
-            for shard, record in enumerate(view.records)
-        ]
-        return self._layout.assemble_payload(payloads)
+        return self.decode_diff(view, self.read_raw(view))
+
+    def quarantine(self, view: ShardedFullView | ShardedDiffView) -> None:
+        """A view is one record: move every shard blob of it to
+        ``quarantine/``, so no partial of a failed record is left for
+        ``gc`` to protect as a possible retry."""
+        groups = view.records if isinstance(view, ShardedDiffView) \
+            else [(record,) for record in view.records]
+        for shard, group in enumerate(groups):
+            for record in group:
+                self.shard_stores[shard].quarantine(record)
 
     # Maintenance ------------------------------------------------------------
     def gc(self, keep_fulls: int = 2, purge_unreferenced: bool = True) -> int:
@@ -551,12 +606,30 @@ class ShardedCheckpointStore:
             report["shards"].append(sub_report)
         return report
 
-    def compact(self, policy=None):
-        """Merge-mode compaction + retention gc on every shard chain."""
-        from repro.storage.compaction import RetentionPolicy
-        compactor = ShardedChainCompactor(
-            self, policy if policy is not None else RetentionPolicy())
-        return compactor.run_once()
+    def replace_diff_run(self, run: list[ShardedDiffView], payload,
+                         count: int) -> ShardedDiffView:
+        """Swap a contiguous run of views for one super-diff on every shard.
+
+        ``payload`` is the run's merged payload; each shard store commits
+        its slice with its own crash-safe swap.  Merged values are
+        per-coordinate folds, so a shard's slice is exactly the fold of
+        that shard's records.  A crash between shard commits leaves the
+        shards' boundaries apart, which :meth:`diffs_after` reads as the
+        super-diff.
+        """
+        layout = self._require_layout()
+
+        def swap(shard: int) -> DiffCheckpointRecord:
+            records = [r for view in run for r in view.records[shard]]
+            return self.shard_stores[shard].replace_diff_run(
+                records, layout.slice_payload(payload, shard), count)
+
+        records = self._map_shards(swap)
+        return ShardedDiffView(start=run[0].start, end=run[-1].end,
+                               count=count,
+                               records=tuple((r,) for r in records))
+
+    compact = CheckpointStore.compact
 
     def storage_bytes(self) -> dict[str, int]:
         totals = {"full": 0, "diff": 0}
@@ -574,210 +647,6 @@ class ShardedCheckpointStore:
         ]
 
 
-# Recovery ------------------------------------------------------------------
-def _load_sharded_base(store: ShardedCheckpointStore, model, optimizer):
-    """Load the newest full checkpoint that is committed in every shard
-    *and* verifiable in every shard.
-
-    A shard record failing its integrity check is quarantined (in its
-    shard store) and the next older common step is tried — the sharded
-    analogue of the unsharded newest-verifiable-full walk.
-    """
-    from repro.core.recovery import _UNREADABLE
-    from repro.storage.serializer import CorruptCheckpointError
-    views = store.fulls()
-    if not views:
-        raise FileNotFoundError("no full checkpoint available for recovery")
-    skipped = 0
-    for view in reversed(views):
-        shard_states = []
-        readable = True
-        for shard, record in enumerate(view.records):
-            try:
-                model_state, opt_state, _ = \
-                    store.shard_stores[shard].load_full(record)
-            except _UNREADABLE:
-                store.shard_stores[shard].quarantine(record)
-                skipped += 1
-                readable = False
-                break
-            shard_states.append((model_state, opt_state))
-        if not readable:
-            continue
-        model_state, optimizer_state = store.layout.assemble_full(shard_states)
-        model.load_state_dict(model_state)
-        optimizer.load_state_dict(optimizer_state)
-        return view.step, skipped
-    raise CorruptCheckpointError(
-        f"no verifiable sharded full checkpoint: all {len(views)} committed "
-        "candidates failed integrity checks")
-
-
-def sharded_serial_recover(store: ShardedCheckpointStore, model, optimizer):
-    """Replay the committed sharded chain record by record.
-
-    Each chain position reassembles its ``S`` shard payloads into the
-    original payload bit-exactly, so the restored state is bit-identical
-    to :func:`repro.core.recovery.serial_recover` over the unsharded
-    series of the same run.
-    """
-    from repro.core.recovery import (
-        RecoveryResult,
-        _apply_payload,
-        _ReplayScratch,
-        _UNREADABLE,
-    )
-    recover_t0 = time.perf_counter()
-    with obs_span("recover.load_full_sharded", "recovery",
-                  {"shards": store.shards}):
-        full_step, fulls_skipped = _load_sharded_base(store, model, optimizer)
-    loaded = 0
-    gradients = 0
-    truncated = 0
-    scratch = _ReplayScratch()
-    for view in store.diffs_after(full_step):
-        shard_payloads = []
-        readable = True
-        for shard, record in enumerate(view.records):
-            try:
-                shard_payloads.append(store.shard_stores[shard].load_diff(record))
-            except _UNREADABLE:
-                store.shard_stores[shard].quarantine(record)
-                truncated = 1
-                readable = False
-                break
-        if not readable:
-            break
-        payload = store.layout.assemble_payload(shard_payloads)
-        with obs_span("recover.replay_diff", "recovery",
-                      {"start": view.start, "end": view.end,
-                       "count": view.count}):
-            _apply_payload(model, optimizer, payload, scratch)
-        if view.count > 1:
-            optimizer.step_count += view.count - 1
-        gradients += view.count
-        loaded += 1
-    if OBS.enabled:
-        OBS.registry.counter("ckpt.shard.recover.serial.runs").inc()
-        OBS.registry.observe("ckpt.shard.recover.serial.s",
-                             time.perf_counter() - recover_t0)
-    return RecoveryResult(
-        step=optimizer.step_count,
-        full_step=full_step,
-        diffs_loaded=loaded,
-        gradients_replayed=gradients,
-        merge_ops=0,
-        merge_depth=0,
-        apply_ops=loaded,
-        corrupt_fulls_skipped=fulls_skipped,
-        corrupt_diffs_skipped=truncated,
-    )
-
-
-def _merge_shard_chain(payloads: list[SparseGradient]):
-    """Balanced pairwise merge tree over one shard's chain — the same tree
-    shape as the unsharded :func:`parallel_recover`, so every coordinate's
-    fp32 fold order (and thus rounding) is identical."""
-    level = payloads
-    merge_ops = 0
-    depth = 0
-    while len(level) > 1:
-        pairs = [(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        next_level = [left.add(right) for left, right in pairs]
-        merge_ops += len(pairs)
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-        depth += 1
-    return level[0], merge_ops, depth
-
-
-def sharded_parallel_recover(store: ShardedCheckpointStore, model, optimizer,
-                             max_workers: int | None = None):
-    """Per-shard merge trees in parallel, one union, one application.
-
-    Every coordinate lives in exactly one shard, and each shard's tree
-    has the same leaf count (and therefore shape) as the unsharded tree —
-    so the union of the per-shard merge results is bit-identical to the
-    unsharded merged payload, and the single ``step_with`` application
-    restores exactly the same state.  Shard merges fan out over up to
-    ``shard_concurrency`` threads (reads stay sequential per shard store;
-    the union-add kernels release the GIL).
-    """
-    from repro.core.recovery import (
-        RecoveryResult,
-        _apply_payload,
-        _ReplayScratch,
-        _UNREADABLE,
-    )
-    recover_t0 = time.perf_counter()
-    with obs_span("recover.load_full_sharded", "recovery",
-                  {"shards": store.shards}):
-        full_step, fulls_skipped = _load_sharded_base(store, model, optimizer)
-    chain = store.diffs_after(full_step)
-    truncated = 0
-    # Sequential, shard-major reads (deterministic under fault injection);
-    # a shard failing at position i truncates the whole chain there.
-    limit = len(chain)
-    per_shard: list[list[SparseGradient]] = []
-    for shard in range(store.shards):
-        sub = store.shard_stores[shard]
-        payloads: list[SparseGradient] = []
-        for position in range(limit):
-            record = chain[position].records[shard]
-            try:
-                payloads.append(sub.load_diff(record))
-            except _UNREADABLE:
-                sub.quarantine(record)
-                truncated = 1
-                limit = position
-                break
-        per_shard.append(payloads)
-    chain = chain[:limit]
-    per_shard = [payloads[:limit] for payloads in per_shard]
-    if not chain:
-        return RecoveryResult(
-            step=optimizer.step_count, full_step=full_step, diffs_loaded=0,
-            gradients_replayed=0, merge_ops=0, merge_depth=0, apply_ops=0,
-            corrupt_fulls_skipped=fulls_skipped,
-            corrupt_diffs_skipped=truncated,
-        )
-    gradients = sum(view.count for view in chain)
-    if max_workers is None:
-        max_workers = store.shard_concurrency
-    with obs_span("recover.merge_shards", "recovery",
-                  {"shards": store.shards, "chain": len(chain)}):
-        if max_workers > 1 and store.shards > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(max_workers, store.shards)) as pool:
-                merged_shards = list(pool.map(_merge_shard_chain, per_shard))
-        else:
-            merged_shards = [_merge_shard_chain(p) for p in per_shard]
-    merge_ops = sum(ops for _, ops, _ in merged_shards)
-    depth = max(d for _, _, d in merged_shards)
-    merged = store.layout.assemble_payload([m for m, _, _ in merged_shards])
-    with obs_span("recover.apply_merged", "recovery",
-                  {"gradients": gradients}):
-        scratch = _ReplayScratch()
-        optimizer.step_with(merged.decompress_into(scratch.buffers_for(merged)))
-        optimizer.step_count += gradients - 1
-    if OBS.enabled:
-        OBS.registry.counter("ckpt.shard.recover.parallel.runs").inc()
-        OBS.registry.observe("ckpt.shard.recover.parallel.s",
-                             time.perf_counter() - recover_t0)
-    return RecoveryResult(
-        step=optimizer.step_count,
-        full_step=full_step,
-        diffs_loaded=len(chain),
-        gradients_replayed=gradients,
-        merge_ops=merge_ops,
-        merge_depth=depth,
-        apply_ops=1,
-        corrupt_fulls_skipped=fulls_skipped,
-        corrupt_diffs_skipped=truncated,
-    )
-
-
 def elastic_restore(store: ShardedCheckpointStore, trainer,
                     parallel: bool = False,
                     max_workers: int | None = None):
@@ -790,12 +659,13 @@ def elastic_restore(store: ShardedCheckpointStore, trainer,
     out to every replica (the ZeRO trainer additionally re-partitions
     parameter ownership over its own active ranks).
     """
+    from repro.core.recovery import parallel_recover, serial_recover
     model, optimizer = trainer.model, trainer.optimizer
     if parallel:
-        result = sharded_parallel_recover(store, model, optimizer,
-                                          max_workers=max_workers)
+        result = parallel_recover(store, model, optimizer,
+                                  max_workers=max_workers)
     else:
-        result = sharded_serial_recover(store, model, optimizer)
+        result = serial_recover(store, model, optimizer)
     trainer.load_state(model.state_dict(), optimizer.state_dict(),
                        iteration=result.step)
     return result
@@ -867,67 +737,3 @@ class ShardedPersistGroup:
 
     def stats(self) -> dict:
         return {"shards": [engine.stats() for engine in self.engines]}
-
-
-class ShardedChainCompactor:
-    """Coordinated per-shard merge compaction.
-
-    Merge mode only: rebase replays the chain through a full optimizer,
-    which no single shard holds.  The trigger is evaluated against the
-    **common** chain, and a triggered pass drains *all* engines before
-    compacting *every* shard — per-shard independent triggers would
-    diverge under async commit skew (shard A's queue commits record *k*
-    before shard B's, A compacts one record early, and the merged ranges
-    never line up again, truncating the readable chain at the split).
-    After a group drain every shard holds the identical record sequence,
-    so the same policy produces the identical merge runs on each and the
-    chains stay aligned.
-    """
-
-    def __init__(self, store: ShardedCheckpointStore, policy,
-                 engine: ShardedPersistGroup | None = None):
-        from repro.storage.compaction import ChainCompactor
-        self.store = store
-        self.policy = policy
-        self.group = engine
-        buffer_pools = [getattr(e, "buffers", None) for e in engine.engines] \
-            if engine is not None else [None] * store.shards
-        # Sub-compactors get no engine: the group drain above replaces the
-        # per-shard drain (draining inside one shard's pass while siblings
-        # still queue is exactly the skew this class exists to prevent).
-        self.compactors = [
-            ChainCompactor(sub, policy, mode="merge", buffers=pool)
-            for sub, pool in zip(store.shard_stores, buffer_pools)
-        ]
-
-    def _common_chain_records(self) -> int:
-        latest = self.store.latest_full()
-        if latest is None:
-            return 0
-        return len(self.store.diffs_after(latest.step))
-
-    def should_compact(self) -> bool:
-        budget = self.policy.chain_budget()
-        return budget is not None and self._common_chain_records() > budget
-
-    def enforce(self) -> list | None:
-        """Drain all shards, then compact all shards iff over budget."""
-        if self.group is not None:
-            self.group.drain()
-        if not self.should_compact():
-            return None
-        return self.run_once()
-
-    def maybe_enforce(self) -> list | None:
-        """Hot-path trigger: peek the common chain before paying for a
-        group drain (the committed view only undercounts in-flight
-        writes, so this never compacts early)."""
-        if not self.should_compact():
-            return None
-        return self.enforce()
-
-    def run_once(self) -> list:
-        reports = [compactor.run_once() for compactor in self.compactors]
-        if OBS.enabled:
-            OBS.registry.counter("ckpt.shard.compact.passes").inc()
-        return reports

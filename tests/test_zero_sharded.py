@@ -11,7 +11,10 @@ Covers the PR-10 acceptance surface:
   retention/compaction;
 * a crash between shard commits leaves the partial record set invisible
   (manifest-intersection crash consistency), including a seeded chaos
-  drill;
+  drill, and a crash mid-way through a compaction still reads as the
+  compacted chain;
+* the sharded store runs the unified recovery and compaction: a corrupt
+  shard blob quarantines its whole view, and factories give rebase;
 * the ZeRO trainer routes through the collective gates pre-mutation,
   re-derives shard ownership over the *active* ranks on membership
   changes, and applies owned updates through the fused ``step_with``
@@ -34,6 +37,7 @@ from repro.distributed import (
 )
 from repro.optim import Adam, Optimizer
 from repro.storage import (
+    ChainCompactor,
     CheckpointStore,
     InMemoryBackend,
     LocalDiskBackend,
@@ -41,10 +45,8 @@ from repro.storage import (
     ShardedCheckpointStore,
     ShardLayout,
     elastic_restore,
-    sharded_parallel_recover,
-    sharded_serial_recover,
 )
-from repro.storage.sharded import ShardedChainCompactor, ShardedPersistGroup
+from repro.storage.sharded import ShardedPersistGroup, shard_prefix
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
@@ -203,7 +205,7 @@ class TestShardedRecoveryEquivalence:
         model, optimizer = fresh_model_opt()
         populate(store, model, optimizer)
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_serial_recover(store, target_model, target_opt)
+        result = serial_recover(store, target_model, target_opt)
         assert result.step == 7
         assert_states_equal(target_model.state_dict(), ref_model.state_dict())
         assert_optimizers_equal(target_opt.state_dict(), ref_opt.state_dict())
@@ -223,21 +225,11 @@ class TestShardedRecoveryEquivalence:
         model, optimizer = fresh_model_opt()
         populate(sharded, model, optimizer, batch=batch)
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_parallel_recover(sharded, target_model, target_opt)
+        result = parallel_recover(sharded, target_model, target_opt)
         assert result.step == ref_result.step
         assert result.gradients_replayed == ref_result.gradients_replayed
         assert_states_equal(target_model.state_dict(), ref_model.state_dict())
         assert_optimizers_equal(target_opt.state_dict(), ref_opt.state_dict())
-
-    def test_parallel_merge_fans_out_per_shard(self):
-        store = ShardedCheckpointStore(InMemoryBackend(), shards=4)
-        model, optimizer = fresh_model_opt()
-        populate(store, model, optimizer, steps=8)
-        target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_parallel_recover(store, target_model, target_opt)
-        # 8 leaves per shard → 7 merges per shard × 4 shards, one apply.
-        assert result.merge_ops == 7 * 4
-        assert result.apply_ops == 1
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +292,7 @@ class TestPerShardCompaction:
         store = ShardedCheckpointStore(InMemoryBackend(), shards=3)
         group = ShardedPersistGroup(store, writer_threads=2)
         policy = RetentionPolicy(keep_fulls=2, max_chain_len=4, compact_run=2)
-        compactor = ShardedChainCompactor(store, policy, engine=group)
+        compactor = ChainCompactor(store, policy, engine=group)
 
         model, optimizer = fresh_model_opt()
         compressor = TopKCompressor(0.5)
@@ -324,7 +316,7 @@ class TestPerShardCompaction:
         # The compacted chain still replays to the live state exactly
         # (compaction merges whole runs — same fold recovery performs).
         target_model, target_opt = fresh_model_opt(seed=5)
-        result = sharded_serial_recover(store, target_model, target_opt)
+        result = serial_recover(store, target_model, target_opt)
         assert result.step == 12
 
     def test_checkpointer_retention_bounds_sharded_chain(self):
@@ -345,6 +337,51 @@ class TestPerShardCompaction:
         model, optimizer = fresh_model_opt_for_trainer()
         result = checkpointer.recover(model, optimizer)
         assert result.step == 15
+
+    def test_unified_compaction_writes_the_per_shard_fold(self):
+        """The one compactor slices the merged payload per shard, and each
+        shard's super-diff is byte-identical to compacting that shard's
+        own chain."""
+        policy = RetentionPolicy(max_chain_len=2, compact_run=4)
+        unified, per_shard = (
+            ShardedCheckpointStore(InMemoryBackend(), shards=3)
+            for _ in range(2))
+        for store in (unified, per_shard):
+            model, optimizer = fresh_model_opt()
+            populate(store, model, optimizer, steps=8)
+        ChainCompactor(unified, policy).run_once()
+        for sub in per_shard.shard_stores:
+            sub.compact(policy)
+        for sub, ref in zip(unified.shard_stores, per_shard.shard_stores):
+            assert [(r.start, r.end) for r in sub.diffs()] == [(1, 4), (5, 8)]
+            for record, ref_record in zip(sub.diffs(), ref.diffs()):
+                assert sub.read_raw(record) == ref.read_raw(ref_record)
+
+    @pytest.mark.parametrize("async_persist", [False, True])
+    def test_checkpointer_rebases_sharded_chain(self, async_persist):
+        """Model/optimizer factories give a sharded store rebase
+        compaction, which is bit-exact for Adam."""
+        trainer = build_zero(num_workers=2)
+        checkpointer = LowDiffCheckpointer(
+            CheckpointStore(InMemoryBackend()),
+            CheckpointConfig(full_every_iters=50, batch_size=1, shards=3,
+                             async_persist=async_persist),
+            retention=RetentionPolicy(max_chain_len=4),
+            model_factory=lambda: fresh_model_opt_for_trainer(seed=3)[0],
+            optimizer_factory=lambda model: Adam(model, lr=1e-3),
+        )
+        checkpointer.attach(trainer)
+        trainer.run(11)
+        checkpointer.finalize()
+        assert {r.mode for r in checkpointer.compactor.reports} == {"rebase"}
+        store = checkpointer.store
+        assert len(store.diffs_after(store.latest_full().step)) <= 4
+        model, optimizer = fresh_model_opt_for_trainer()
+        result = checkpointer.recover(model, optimizer)
+        assert result.step == 11
+        assert_states_equal(model.state_dict(), trainer.model_state())
+        assert_optimizers_equal(optimizer.state_dict(),
+                                trainer.optimizer_state())
 
 
 def fresh_model_opt_for_trainer(seed=99):
@@ -371,7 +408,7 @@ class TestCrashMidShardCommit:
         assert store.latest_full().step == 0
         # Recovery ignores the torso and lands on the committed state.
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_serial_recover(store, target_model, target_opt)
+        result = serial_recover(store, target_model, target_opt)
         assert result.full_step == 0
         assert result.step == 2
 
@@ -390,7 +427,7 @@ class TestCrashMidShardCommit:
         chain = store.diffs_after(0)
         assert [(v.start, v.end) for v in chain] == [(1, 1), (2, 2), (3, 3)]
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_serial_recover(store, target_model, target_opt)
+        result = serial_recover(store, target_model, target_opt)
         assert result.step == 3
         assert_states_equal(target_model.state_dict(), committed_model)
 
@@ -446,9 +483,119 @@ class TestCrashMidShardCommit:
 
         reopened = ShardedCheckpointStore(store.backend, shards=shards)
         target_model, target_opt = fresh_model_opt(seed=seed + 1)
-        result = sharded_serial_recover(reopened, target_model, target_opt)
+        result = serial_recover(reopened, target_model, target_opt)
         assert result.step == steps
         assert_states_equal(target_model.state_dict(), snapshots[steps])
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_seeded_crash_mid_compaction_drill(self, seed):
+        """Seeded drill: a merge compaction commits its super-diffs shard
+        by shard, and a crash stops it after a seed-chosen prefix of
+        shards.  The chain must stay readable as the super-diffs: recovery
+        reaches the live step, and the next pass re-aligns the shards."""
+        rng = Rng(seed)
+        shards = 2 + int(rng.child("shards").integers(0, 3))  # 2..4
+        policy = RetentionPolicy(max_chain_len=2, compact_run=4)
+        store, reference = (
+            ShardedCheckpointStore(InMemoryBackend(), shards=shards)
+            for _ in range(2))
+        for target in (store, reference):
+            model, optimizer = fresh_model_opt(seed=seed)
+            populate(target, model, optimizer, steps=8, seed=seed)
+        live_step = optimizer.step_count
+        # The crash: a seed-chosen prefix of shards committed [1,4],[5,8];
+        # the rest still hold diffs 1..8.  The reference completed.
+        cut = int(rng.child("cut").integers(1, shards))
+        for sub in store.shard_stores[:cut]:
+            sub.compact(policy)
+        for sub in reference.shard_stores:
+            sub.compact(policy)
+
+        reopened = ShardedCheckpointStore(store.backend, shards=shards)
+        for recover in (serial_recover, parallel_recover):
+            target_model, target_opt = fresh_model_opt(seed=seed + 1)
+            result = recover(reopened, target_model, target_opt)
+            assert result.step == live_step == 8
+            ref_model, ref_opt = fresh_model_opt(seed=seed + 1)
+            recover(reference, ref_model, ref_opt)
+            assert_states_equal(target_model.state_dict(),
+                                ref_model.state_dict())
+            assert_optimizers_equal(target_opt.state_dict(),
+                                    ref_opt.state_dict())
+        assert [(v.start, v.end) for v in reopened.diffs_after(0)] \
+            == [(1, 4), (5, 8)]
+        ChainCompactor(reopened, RetentionPolicy(max_chain_len=1)).run_once()
+        for sub in reopened.shard_stores:
+            assert [(r.start, r.end) for r in sub.diffs()] == [(1, 8)]
+
+
+# ---------------------------------------------------------------------------
+# Corruption: a view is one record
+# ---------------------------------------------------------------------------
+
+class TestShardedCorruption:
+    """A corrupt shard blob quarantines every shard blob of its view, and
+    recovery falls back or truncates exactly as on the unsharded store."""
+
+    SHARDS = 3
+
+    @staticmethod
+    def _corrupt(backend, key):
+        data = bytearray(backend.read(key))
+        data[len(data) // 2] ^= 0xFF
+        backend.write(key, bytes(data))
+
+    @staticmethod
+    def _replayed_from_base(recover, steps):
+        """``recover`` over an unsharded store holding the full at 0 and
+        diffs 1..steps: the state replayed from the same base."""
+        store = CheckpointStore(InMemoryBackend())
+        model, optimizer = fresh_model_opt()
+        populate(store, model, optimizer, steps=steps)
+        model, optimizer = fresh_model_opt(seed=9)
+        recover(store, model, optimizer)
+        return model, optimizer
+
+    @pytest.mark.parametrize("recover", [serial_recover, parallel_recover])
+    def test_corrupt_full_shard_falls_back(self, recover):
+        store = ShardedCheckpointStore(InMemoryBackend(), shards=self.SHARDS)
+        model, optimizer = fresh_model_opt()
+        populate(store, model, optimizer, steps=6)
+        store.save_full(6, model.state_dict(), optimizer.state_dict())
+        newest = store.latest_full()
+        self._corrupt(store.backend, shard_prefix(1) + newest.records[1].key)
+
+        target_model, target_opt = fresh_model_opt(seed=9)
+        result = recover(store, target_model, target_opt)
+        assert (result.full_step, result.step) == (0, 6)
+        assert result.corrupt_fulls_skipped == 1
+        assert sorted(store.quarantined) == [
+            shard_prefix(s) + newest.records[s].key
+            for s in range(self.SHARDS)]
+        assert [view.step for view in store.fulls()] == [0]
+        ref_model, ref_opt = self._replayed_from_base(recover, steps=6)
+        assert_states_equal(target_model.state_dict(), ref_model.state_dict())
+        assert_optimizers_equal(target_opt.state_dict(), ref_opt.state_dict())
+
+    @pytest.mark.parametrize("recover", [serial_recover, parallel_recover])
+    def test_corrupt_diff_shard_truncates_chain(self, recover):
+        store = ShardedCheckpointStore(InMemoryBackend(), shards=self.SHARDS)
+        model, optimizer = fresh_model_opt()
+        populate(store, model, optimizer, steps=6)
+        third = store.diffs_after(0)[2]
+        self._corrupt(store.backend, shard_prefix(2) + third.records[2][0].key)
+
+        target_model, target_opt = fresh_model_opt(seed=9)
+        result = recover(store, target_model, target_opt)
+        assert result.step == 2
+        assert result.corrupt_diffs_skipped == 1
+        assert sorted(store.quarantined) == [
+            shard_prefix(s) + third.records[s][0].key
+            for s in range(self.SHARDS)]
+        ref_model, ref_opt = self._replayed_from_base(recover, steps=2)
+        assert_states_equal(target_model.state_dict(), ref_model.state_dict())
+        assert_optimizers_equal(target_opt.state_dict(), ref_opt.state_dict())
 
 
 # ---------------------------------------------------------------------------
