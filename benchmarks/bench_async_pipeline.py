@@ -11,7 +11,8 @@ Measures the three claims the pipeline makes and writes them to
    backend emulating per-read storage latency (the paper's remote/SSD
    fetch).  Bit-exactness of both modes is asserted, not assumed.
 3. **Serializer throughput** — allocating ``pack_tree`` vs zero-copy
-   ``pack_tree_into`` a pooled buffer.
+   ``pack_tree_into`` a pooled buffer, plus the per-record pack time of a
+   small-diffs-shaped record (12 blobs, ~16 KB), guarded under 1 ms.
 
 ``BENCH_QUICK=1`` shrinks every dimension for CI smoke runs (and relaxes
 the ratio assertions, which need realistic sizes to be meaningful).
@@ -41,6 +42,7 @@ from repro.storage import (
     InMemoryBackend,
     LocalDiskBackend,
 )
+from repro.storage.payload_codec import payload_to_tree
 from repro.storage.serializer import pack_tree, pack_tree_into
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
@@ -263,6 +265,27 @@ def measure_recovery() -> dict:
 # 3. Serializer throughput: copying vs zero-copy pooled pack
 # ---------------------------------------------------------------------------
 
+#: The small-diffs record shape: the diff of the ~87k-param
+#: MLP(64, [256, 256], 16) after two workers' top-k 0.01 selections are
+#: all-reduced (~2% density), 12 blobs and ~16 KB packed.  Per-record
+#: fixed costs, not bytes, decide its pack time.
+SMALL_RECORD_MODEL = (64, [256, 256], 16)
+SMALL_RECORD_RHO = 0.02
+#: Guard on the small record's per-record ``pack_tree_into`` time, quick
+#: mode included.  A per-byte Python-level checksum costs ~9 ms per record
+#: on a 2-vCPU box; one ``zlib.crc32`` pass costs ~0.3 ms.
+SMALL_RECORD_PACK_MS_MAX = 1.0
+
+
+def small_record_tree() -> dict:
+    model = MLP(*SMALL_RECORD_MODEL, rng=Rng(0))
+    payload = TopKCompressor(SMALL_RECORD_RHO).compress({
+        name: Rng(5).child(name).normal(size=p.shape)
+        for name, p in model.named_parameters()
+    })
+    return CheckpointStore.diff_tree(1, 1, 1, payload_to_tree(payload))
+
+
 def measure_serializer() -> dict:
     size = 500_000 if QUICK else 2_000_000
     tree = {"model": {"w": Rng(3).normal(size=(size,))}, "step": 7}
@@ -277,18 +300,35 @@ def measure_serializer() -> dict:
 
     buffer = bytearray()
 
-    def zero_copy():
-        view, _ = pack_tree_into(tree, buffer)
+    def zero_copy(record=tree):
+        view, _ = pack_tree_into(record, buffer)
         view.release()
 
     zero_copy()  # warm the buffer so steady state is measured
     copy_mb_s = throughput("bench.pack.copy", lambda: pack_tree(tree))
     zero_copy_mb_s = throughput("bench.pack.zero_copy", zero_copy)
+
+    # The small record through the pooled buffer the large one grew, as a
+    # writer thread's pool buffer is reused in steady state.
+    small = small_record_tree()
+    small_rounds = 50 if QUICK else 200
+    for _ in range(small_rounds):
+        with obs.timed("bench.pack.small_record", registry=BENCH_REGISTRY):
+            zero_copy(small)
+    timings = BENCH_REGISTRY.snapshot()["bench.pack.small_record.s"]
     return {
         "container_mb": nbytes / 1e6,
         "copy_pack_mb_s": copy_mb_s,
         "zero_copy_pack_mb_s": zero_copy_mb_s,
         "speedup_x": zero_copy_mb_s / copy_mb_s,
+        "small_record": {
+            "blobs": len(small["payload"]["entries"]) * 2,
+            "packed_bytes": len(pack_tree(small)),
+            "rounds": small_rounds,
+            "pack_ms_per_record": timings["sum"] / timings["count"] * 1e3,
+            "pack_ms_min": timings["min"] * 1e3,
+            "pack_ms_max_allowed": SMALL_RECORD_PACK_MS_MAX,
+        },
     }
 
 
@@ -351,6 +391,12 @@ def test_zero_copy_serializer_not_slower(results):
     serializer = results["serializer"]
     if not QUICK:
         assert serializer["speedup_x"] >= 1.0
+
+
+def test_small_record_pack_under_budget(results):
+    small = results["serializer"]["small_record"]
+    assert small["blobs"] == 12
+    assert small["pack_ms_per_record"] < SMALL_RECORD_PACK_MS_MAX
 
 
 if __name__ == "__main__":

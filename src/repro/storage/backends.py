@@ -149,6 +149,13 @@ class LocalDiskBackend(StorageBackend):
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
             raise
+        # The rename is an entry in the parent directory: sync it too, or a
+        # power loss can drop a blob whose manifest entry already committed.
+        dir_fd = os.open(os.path.dirname(path), os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def _read(self, key: str) -> bytes:
         try:

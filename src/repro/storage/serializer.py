@@ -23,10 +23,11 @@ Two write paths share the same wire format:
   (pooled) ``bytearray``, with no per-array ``tobytes()`` intermediates
   and no ``b"".join`` concatenation.
 
-Each blob's CRC32 is computed exactly once; the whole-blob checksum the
-store indexes is derived from the per-blob CRCs with
-:func:`crc32_combine` (zlib's GF(2) length-shift), never by re-walking
-the payload bytes.
+Checksums cost two C passes over the payload and no Python-level work
+per byte: each blob's CRC32 for the manifest, then one ``zlib.crc32``
+over the packed container for the whole-blob checksum the store indexes.
+``zlib`` releases the GIL for buffers above 5 KiB, so writer threads
+checksum while the training thread runs.
 
 Arrays round-trip dtype and shape exactly; the sparse/quantized payload
 classes serialize through their constituent arrays.
@@ -63,60 +64,6 @@ class CorruptCheckpointError(ValueError):
     broad decode errors keep working; the recovery path catches this
     specifically to quarantine the blob and fall back.
     """
-
-
-# CRC32 combination (zlib's crc32_combine, which the stdlib does not
-# expose).  combine(crcA, crcB, lenB) == crc32(A + B) given crcA=crc32(A)
-# and crcB=crc32(B) — O(log lenB) bit-matrix work instead of re-reading B.
-
-_CRC_POLY = 0xEDB88320
-
-
-def _gf2_matrix_times(matrix: list[int], vector: int) -> int:
-    product = 0
-    index = 0
-    while vector:
-        if vector & 1:
-            product ^= matrix[index]
-        vector >>= 1
-        index += 1
-    return product
-
-
-def _gf2_matrix_square(square: list[int], matrix: list[int]) -> None:
-    for n in range(32):
-        square[n] = _gf2_matrix_times(matrix, matrix[n])
-
-
-def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
-    """CRC32 of the concatenation ``A+B`` from ``crc32(A)``, ``crc32(B)``,
-    ``len(B)`` — without touching the bytes of either part again."""
-    if len2 <= 0:
-        return crc1 & 0xFFFFFFFF
-    even = [0] * 32   # operator for 2^k zero bits
-    odd = [0] * 32
-    # Operator for one zero bit.
-    odd[0] = _CRC_POLY
-    row = 1
-    for n in range(1, 32):
-        odd[n] = row
-        row <<= 1
-    _gf2_matrix_square(even, odd)   # two zero bits
-    _gf2_matrix_square(odd, even)   # four zero bits
-    while True:
-        _gf2_matrix_square(even, odd)
-        if len2 & 1:
-            crc1 = _gf2_matrix_times(even, crc1)
-        len2 >>= 1
-        if not len2:
-            break
-        _gf2_matrix_square(odd, even)
-        if len2 & 1:
-            crc1 = _gf2_matrix_times(odd, crc1)
-        len2 >>= 1
-        if not len2:
-            break
-    return (crc1 ^ crc2) & 0xFFFFFFFF
 
 
 def _as_byte_view(array: np.ndarray) -> memoryview:
@@ -182,12 +129,9 @@ def _decode(description, blobs: list[memoryview]):
 
 
 def _prepare(tree):
-    """Walk the tree once: blob arrays, per-blob CRCs, manifest, total size.
+    """Walk the tree once: blob arrays, manifest (with per-blob CRCs), size.
 
-    Returns ``(blobs, manifest_bytes, total_len, blob_crcs)``.  Each
-    blob's CRC32 is computed here, exactly once — the manifest embeds it
-    and :func:`_whole_crc` combines it; nothing downstream re-reads the
-    payload bytes for checksumming.
+    Returns ``(blobs, manifest_bytes, total_len)``.
     """
     blobs: list[np.ndarray] = []
     description = _encode(tree, blobs)
@@ -201,15 +145,7 @@ def _prepare(tree):
         separators=(",", ":"),
     ).encode()
     total_len = _HEADER.size + len(manifest) + sum(blob.nbytes for blob in blobs)
-    return blobs, manifest, total_len, blob_crcs
-
-
-def _whole_crc(head_crc: int, blobs: list[np.ndarray], blob_crcs: list[int]) -> int:
-    """CRC32 of header+manifest+blobs from already-known per-blob CRCs."""
-    crc = head_crc
-    for blob, blob_crc in zip(blobs, blob_crcs):
-        crc = crc32_combine(crc, blob_crc, blob.nbytes)
-    return crc
+    return blobs, manifest, total_len
 
 
 def pack_tree_into(tree, buffer: bytearray) -> tuple[memoryview, int]:
@@ -222,12 +158,12 @@ def pack_tree_into(tree, buffer: bytearray) -> tuple[memoryview, int]:
     intermediate ``bytes`` objects are created.
 
     Returns ``(view, crc)``: a memoryview over the packed bytes inside
-    ``buffer`` and the CRC32 of those bytes (the store-level whole-blob
-    checksum, derived via :func:`crc32_combine` — the payload is never
-    walked a second time).  The buffer must not be resized while the
-    returned view is alive; call ``view.release()`` when done.
+    ``buffer`` and the CRC32 of those bytes only (the store-level
+    whole-blob checksum; one C pass, GIL released).  The buffer must not
+    be resized while the returned view is alive; call ``view.release()``
+    when done.
     """
-    blobs, manifest, total_len, blob_crcs = _prepare(tree)
+    blobs, manifest, total_len = _prepare(tree)
     if len(buffer) < total_len:
         buffer.extend(bytes(total_len - len(buffer)))
     view = memoryview(buffer)
@@ -240,16 +176,16 @@ def pack_tree_into(tree, buffer: bytearray) -> tuple[memoryview, int]:
         end = offset + blob.nbytes
         view[offset:end] = _as_byte_view(blob)
         offset = end
-    head_crc = zlib.crc32(view[:manifest_end])
-    return view[:total_len], _whole_crc(head_crc, blobs, blob_crcs)
+    packed = view[:total_len]
+    return packed, zlib.crc32(packed)
 
 
 def pack_tree_with_crc(tree) -> tuple[bytes, int]:
     """Serialize to fresh ``bytes`` plus the whole-blob CRC32.
 
-    The CRC comes from the single packing pass (per-blob CRCs combined),
-    so callers that index checkpoints by checksum (the store manifest)
-    need no second walk over the data.
+    The CRC is the one :func:`pack_tree_into` returns, so callers that
+    index checkpoints by checksum (the store manifest) need not compute
+    it again.
     """
     buffer = bytearray()
     view, crc = pack_tree_into(tree, buffer)

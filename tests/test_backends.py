@@ -1,6 +1,7 @@
 """Tests for storage backends: round-trips, atomicity, throttling, faults."""
 
 import os
+import stat
 
 import pytest
 
@@ -85,6 +86,29 @@ class TestLocalDisk:
         backend = LocalDiskBackend(str(tmp_path))
         backend.write("a/b/c/d.ckpt", b"deep")
         assert backend.read("a/b/c/d.ckpt") == b"deep"
+
+    @pytest.mark.parametrize("key", ["manifest.json", "diff/0000000001.ckpt",
+                                     "shard-0002/full/0000000000.ckpt"])
+    def test_write_ends_with_parent_directory_fsync(self, tmp_path,
+                                                    monkeypatch, key):
+        # The rename must survive power loss: after os.replace, the
+        # key's parent directory is fsynced, and nothing else follows.
+        real_fsync = os.fsync
+        synced = []
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        backend = LocalDiskBackend(str(tmp_path))
+        for payload in (b"first", b"second"):
+            synced.clear()
+            backend.write(key, payload)
+            parent = os.stat(os.path.dirname(tmp_path / key)).st_ino
+            file_ino = os.stat(tmp_path / key).st_ino
+            assert synced == [(False, file_ino), (True, parent)]
 
 
 class TestThrottled:

@@ -1,5 +1,9 @@
 """Tests for the checkpoint store: manifests, chains, retention."""
 
+import json
+import re
+import zlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +101,54 @@ class TestManifestPersistence:
         reopened = CheckpointStore(LocalDiskBackend(str(tmp_path)))
         assert reopened.latest_full().step == 0
         assert [(r.start, r.end) for r in reopened.diffs_after(0)] == [(1, 2)]
+
+    @staticmethod
+    def populated(rng):
+        store = CheckpointStore(InMemoryBackend())
+        model, opt = full_states(rng)
+        store.save_full(0, model, opt)
+        store.save_diff(1, 2, payload(rng), count=2)
+        store.save_diff(3, 3, payload(rng))
+        return store
+
+    def test_older_manifest_formats_load_without_rebuild(self, rng):
+        store = self.populated(rng)
+        backend, records = store.backend, (store.fulls(), store.diffs())
+        manifest = {"fulls": [vars(r) for r in store.fulls()],
+                    "diffs": [vars(r) for r in store.diffs()]}
+        body = json.dumps(manifest, separators=(",", ":"),
+                          sort_keys=True).encode()
+        # Spaced encoding with "crc" last, then a legacy one without it.
+        spaced = json.dumps({**json.loads(body), "crc": zlib.crc32(body)})
+        for raw in (spaced, json.dumps(manifest)):
+            backend.write("manifest.json", raw.encode())
+            reopened = CheckpointStore(backend)
+            assert reopened.manifest_rebuilt is False
+            assert (reopened.fulls(), reopened.diffs()) == records
+
+    def test_compact_manifest_round_trips(self, rng):
+        store = self.populated(rng)
+        raw = store.backend.read("manifest.json")
+        body, crc = re.fullmatch(rb'(.*),"crc":(\d+)}', raw).groups()
+        assert b" " not in raw
+        assert int(crc) == zlib.crc32(body + b"}")
+        reopened = CheckpointStore(store.backend)
+        assert reopened.manifest_rebuilt is False
+        assert (reopened.fulls(), reopened.diffs()) == \
+            (store.fulls(), store.diffs())
+
+    def test_flipped_nbytes_digit_forces_rebuild(self, rng):
+        store = self.populated(rng)
+        raw = store.backend.read("manifest.json").decode()
+        tampered = re.sub(r'("nbytes":\d*)(\d)',
+                          lambda m: m[1] + str((int(m[2]) + 1) % 10),
+                          raw, count=1)
+        assert tampered != raw
+        store.backend.write("manifest.json", tampered.encode())
+        reopened = CheckpointStore(store.backend)
+        assert reopened.manifest_rebuilt is True
+        assert [r.nbytes for r in reopened.diffs()] == \
+            [r.nbytes for r in store.diffs()]
 
     def test_storage_bytes_accounting(self, store, rng):
         model, opt = full_states(rng)
